@@ -936,36 +936,41 @@ FarmerResult FarmerMiner::FinalizeResult(GroupStore store) {
     obs::ScopedSpan lb_phase(options_.trace, obs::TraceSession::kMainLane,
                              "minelb_phase");
     lb_phase.Arg("groups", static_cast<std::int64_t>(groups.size()));
-    for (RuleGroup& g : groups) {
+    MineLbScratch scratch;
+    ItemVector recovered;
+    std::size_t done = 0;
+    for (; done < groups.size(); ++done) {
+      RuleGroup& g = groups[done];
       // Unthrottled: one MineLB call can dwarf the check interval, so
       // each group re-samples the clock directly.
       if (options_.deadline.ExpiredNow()) {
         stats_.timed_out = true;
         break;
       }
-      ItemVector antecedent = g.antecedent;
-      if (antecedent.empty()) {
+      const ItemVector* antecedent = &g.antecedent;
+      if (antecedent->empty()) {
         // Antecedents were not stored: recover I(rows) by intersecting the
         // member rows' itemsets.
         const std::size_t first = g.rows.FindFirst();
-        antecedent = permuted_.row(static_cast<RowId>(first));
+        recovered = permuted_.row(static_cast<RowId>(first));
         for (std::size_t r = g.rows.FindNext(first); r < g.rows.size();
              r = g.rows.FindNext(r)) {
           const ItemVector& row = permuted_.row(static_cast<RowId>(r));
           ItemVector merged;
-          std::set_intersection(antecedent.begin(), antecedent.end(),
+          std::set_intersection(recovered.begin(), recovered.end(),
                                 row.begin(), row.end(),
                                 std::back_inserter(merged));
-          antecedent = std::move(merged);
+          recovered = std::move(merged);
         }
+        antecedent = &recovered;
       }
       LowerBoundResult lb;
       {
         obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
                              "minelb");
-        lb = MineLowerBounds(permuted_, antecedent, g.rows,
+        lb = MineLowerBounds(tuple_bits_, *antecedent, g.rows,
                              options_.max_lower_bound_candidates,
-                             &options_.deadline);
+                             &options_.deadline, &scratch);
         span.Arg("bounds",
                  static_cast<std::int64_t>(lb.lower_bounds.size()));
         span.Arg("truncated", lb.truncated ? 1 : 0);
@@ -976,7 +981,7 @@ FarmerResult FarmerMiner::FinalizeResult(GroupStore store) {
       }
       if (FARMER_PREDICT_FALSE(options_.verify_invariants) &&
           !lb.truncated) {
-        FARMER_CHECK_OK(ValidateLowerBounds(permuted_, antecedent, g.rows,
+        FARMER_CHECK_OK(ValidateLowerBounds(permuted_, *antecedent, g.rows,
                                             lb.lower_bounds))
             << "MineLB produced a non-minimal or non-generating bound";
       }
@@ -988,6 +993,10 @@ FarmerResult FarmerMiner::FinalizeResult(GroupStore store) {
         stats_.timed_out = true;
         break;
       }
+    }
+    // Groups MineLB never finished carry partial or no bounds: flag them.
+    for (std::size_t i = done; i < groups.size(); ++i) {
+      groups[i].lower_bounds_truncated = true;
     }
     stats_.lower_bound_seconds = lb_sw.ElapsedSeconds();
   }

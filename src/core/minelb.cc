@@ -8,24 +8,101 @@ namespace farmer {
 
 namespace {
 
-// Keeps only itemsets that are maximal under inclusion. Input bitsets all
-// have the same size; output order is by descending cardinality.
-std::vector<Bitset> KeepMaximal(std::vector<Bitset> sets) {
-  std::sort(sets.begin(), sets.end(), [](const Bitset& a, const Bitset& b) {
-    return a.Count() > b.Count();
-  });
-  std::vector<Bitset> maximal;
-  for (Bitset& s : sets) {
-    bool subsumed = false;
-    for (const Bitset& kept : maximal) {
-      if (s.IsSubsetOf(kept)) {
-        subsumed = true;
-        break;
-      }
-    }
-    if (!subsumed) maximal.push_back(std::move(s));
+using Sets = MineLbScratch::Sets;
+
+// Set-algebra over runs of `w` words (one set of MineLbScratch::Sets).
+
+const std::uint64_t* At(const Sets& sets, std::size_t i, std::size_t w) {
+  return sets.words.data() + i * w;
+}
+
+std::uint32_t Count(const std::uint64_t* a, std::size_t w) {
+  std::uint32_t count = 0;
+  for (std::size_t i = 0; i < w; ++i) {
+    count += static_cast<std::uint32_t>(__builtin_popcountll(a[i]));
   }
-  return maximal;
+  return count;
+}
+
+bool IsSubset(const std::uint64_t* a, const std::uint64_t* b,
+              std::size_t w) {
+  for (std::size_t i = 0; i < w; ++i) {
+    if ((a[i] & ~b[i]) != 0) return false;
+  }
+  return true;
+}
+
+void Clear(Sets* sets) {
+  sets->words.clear();
+  sets->counts.clear();
+}
+
+void Append(Sets* sets, const std::uint64_t* set, std::uint32_t count,
+            std::size_t w) {
+  sets->words.insert(sets->words.end(), set, set + w);
+  sets->counts.push_back(count);
+}
+
+void AppendAll(Sets* sets, const Sets& from) {
+  sets->words.insert(sets->words.end(), from.words.begin(),
+                     from.words.end());
+  sets->counts.insert(sets->counts.end(), from.counts.begin(),
+                      from.counts.end());
+}
+
+// Fills `order` with the indices of `sets` sorted by cardinality
+// (descending or ascending), ties by word order. Equal sets compare
+// equal, so the resulting sequence of sets is unique.
+void SortOrder(const Sets& sets, std::size_t w, bool descending,
+               std::vector<std::uint32_t>* order) {
+  order->resize(sets.counts.size());
+  for (std::uint32_t i = 0; i < order->size(); ++i) (*order)[i] = i;
+  std::sort(order->begin(), order->end(),
+            [&](std::uint32_t x, std::uint32_t y) {
+              const std::uint32_t cx = sets.counts[x], cy = sets.counts[y];
+              if (cx != cy) return descending ? cx > cy : cx < cy;
+              const std::uint64_t* a = At(sets, x, w);
+              const std::uint64_t* b = At(sets, y, w);
+              return std::lexicographical_compare(a, a + w, b, b + w);
+            });
+}
+
+// Σ: the maximal sets among the non-empty I(r) ∩ A, in canonical order.
+// The row blocks are reduced to an antichain first (each block either
+// falls inside a kept set or evicts the kept sets inside it), so only
+// the few maximal sets are sorted.
+void BuildSigma(std::size_t num_rows, std::size_t w, MineLbScratch* s) {
+  Sets& maximal = s->maximal;
+  Clear(&maximal);
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    const std::uint64_t* block = s->row_sets.data() + r * w;
+    const std::uint32_t count = Count(block, w);
+    if (count == 0) continue;  // Rows in R(A), or sharing nothing with A.
+    bool subsumed = false;
+    for (std::size_t k = 0; k < maximal.counts.size() && !subsumed; ++k) {
+      subsumed = count <= maximal.counts[k] &&
+                 IsSubset(block, At(maximal, k, w), w);
+    }
+    if (subsumed) continue;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < maximal.counts.size(); ++k) {
+      const std::uint64_t* set = At(maximal, k, w);
+      if (maximal.counts[k] <= count && IsSubset(set, block, w)) continue;
+      if (kept != k) {
+        std::copy(set, set + w, maximal.words.begin() + kept * w);
+        maximal.counts[kept] = maximal.counts[k];
+      }
+      ++kept;
+    }
+    maximal.words.resize(kept * w);
+    maximal.counts.resize(kept);
+    Append(&maximal, block, count, w);
+  }
+  SortOrder(maximal, w, /*descending=*/true, &s->order);
+  Clear(&s->sigma);
+  for (std::uint32_t i : s->order) {
+    Append(&s->sigma, At(maximal, i, w), maximal.counts[i], w);
+  }
 }
 
 // R(L): the rows of `dataset` containing every item of `itemset`.
@@ -46,61 +123,54 @@ Bitset SupportRows(const BinaryDataset& dataset, const ItemVector& itemset) {
 
 }  // namespace
 
-LowerBoundResult MineLowerBounds(const BinaryDataset& dataset,
+LowerBoundResult MineLowerBounds(const std::vector<Bitset>& item_rows,
                                  const ItemVector& antecedent,
                                  const Bitset& rows,
                                  std::size_t max_candidates,
-                                 const Deadline* deadline) {
+                                 const Deadline* deadline,
+                                 MineLbScratch* scratch) {
   LowerBoundResult result;
   const std::size_t a_size = antecedent.size();
   if (a_size == 0) return result;
+  MineLbScratch& s = *scratch;
+  // Every set is a run of w words over positions local to `antecedent`.
+  const std::size_t w = (a_size + 63) / 64;
+  const std::size_t n = rows.size();
 
-  // Step 1: Γ starts as the singletons of the antecedent. All bitsets use
-  // positions local to `antecedent` (antecedent is sorted, so membership
-  // maps via binary search).
-  std::vector<Bitset> gamma;
-  gamma.reserve(a_size);
+  // Step 1: Γ starts as the singletons of the antecedent.
+  s.gamma.words.assign(a_size * w, 0);
+  s.gamma.counts.assign(a_size, 1);
   for (std::size_t p = 0; p < a_size; ++p) {
-    Bitset b(a_size);
-    b.Set(p);
-    gamma.push_back(std::move(b));
+    s.gamma.words[p * w + (p >> 6)] = std::uint64_t{1} << (p & 63);
   }
 
-  // Step 2: collect Σ = the distinct proper subsets I(r) ∩ A for rows
-  // outside R(A); by Lemma 3.11 only the maximal ones matter.
-  std::vector<Bitset> sigma;
-  for (RowId r = 0; r < dataset.num_rows(); ++r) {
-    // The throttled check amortizes the clock read over this per-row
-    // loop; a timeout here leaves Γ at the singleton stage, still a
-    // valid under-approximation.
+  // Step 2: I(r) ∩ A for every row r outside R(A), column by column:
+  // position p is set in the rows holding A[p] minus R(A). No row
+  // outside R(A) holds all of A, so every block is a proper subset.
+  s.row_sets.assign(n * w, 0);
+  for (std::size_t p = 0; p < a_size; ++p) {
+    // A timeout here leaves Γ at the singleton stage, still a valid
+    // under-approximation.
     if (deadline != nullptr && deadline->Expired()) {
       result.timed_out = result.truncated = true;
       break;
     }
-    if (rows.Test(r)) continue;
-    Bitset inter(a_size);
-    const ItemVector& row = dataset.row(r);
-    // Both `row` and `antecedent` are sorted: merge-intersect.
-    std::size_t i = 0, j = 0;
-    while (i < row.size() && j < a_size) {
-      if (row[i] < antecedent[j]) {
-        ++i;
-      } else if (row[i] > antecedent[j]) {
-        ++j;
-      } else {
-        inter.Set(j);
-        ++i;
-        ++j;
-      }
-    }
-    // I(r) ∩ A ⊂ A is guaranteed: if it equaled A, r would be in R(A).
-    FARMER_DCHECK(inter.Count() < a_size);
-    sigma.push_back(std::move(inter));
+    const Bitset& column = item_rows[antecedent[p]];
+    FARMER_DCHECK(column.size() == n);
+    Bitset::AndNotInto(column, rows, &s.outside);
+    const std::uint64_t bit = std::uint64_t{1} << (p & 63);
+    std::uint64_t* word = s.row_sets.data() + (p >> 6);
+    s.outside.ForEach([&](std::size_t r) { word[r * w] |= bit; });
   }
-  sigma = KeepMaximal(std::move(sigma));
+  // By Lemma 3.11 only the maximal ones matter.
+  Clear(&s.sigma);
+  if (!result.timed_out) BuildSigma(n, w, &s);
 
   // Step 3: incremental update of Γ per added closed set (Lemma 3.10).
-  for (const Bitset& a_prime : sigma) {
+  const std::uint64_t tail_mask =
+      (a_size & 63) == 0 ? ~std::uint64_t{0}
+                         : (std::uint64_t{1} << (a_size & 63)) - 1;
+  for (std::size_t i = 0; i < s.sigma.counts.size(); ++i) {
     // One update step can be combinatorially heavy (Γ1 × missing
     // candidates), so each one re-samples the deadline unthrottled:
     // this is the checkpoint that keeps a near-deadline mining run from
@@ -109,53 +179,55 @@ LowerBoundResult MineLowerBounds(const BinaryDataset& dataset,
       result.timed_out = result.truncated = true;
       break;
     }
-    std::vector<Bitset> gamma1;  // bounds contained in A'
-    std::vector<Bitset> gamma2;  // bounds that survive as-is
-    for (Bitset& l : gamma) {
-      if (l.IsSubsetOf(a_prime)) {
-        gamma1.push_back(std::move(l));
-      } else {
-        gamma2.push_back(std::move(l));
-      }
+    const std::uint64_t* a_prime = At(s.sigma, i, w);
+    // Γ1: bounds contained in A'. Γ2 (bounds that survive as-is) goes to
+    // `next`, which then collects the accepted candidates.
+    Clear(&s.gamma1);
+    Clear(&s.next);
+    for (std::size_t k = 0; k < s.gamma.counts.size(); ++k) {
+      const std::uint64_t* l = At(s.gamma, k, w);
+      Append(IsSubset(l, a_prime, w) ? &s.gamma1 : &s.next, l,
+             s.gamma.counts[k], w);
     }
-    if (gamma1.empty()) {
-      gamma = std::move(gamma2);
+    if (s.gamma1.counts.empty()) {
+      std::swap(s.gamma, s.next);
       continue;
     }
 
-    // Candidates l1 ∪ {i}, l1 ∈ Γ1, i ∈ A − A'.
-    std::vector<std::size_t> missing;  // positions of A − A'
-    for (std::size_t p = 0; p < a_size; ++p) {
-      if (!a_prime.Test(p)) missing.push_back(p);
-    }
+    // Candidates l1 ∪ {p}, l1 ∈ Γ1, p ∈ A − A'.
+    const std::size_t missing = a_size - s.sigma.counts[i];
     if (max_candidates != 0 &&
-        gamma1.size() * missing.size() > max_candidates) {
+        s.gamma1.counts.size() * missing > max_candidates) {
       result.truncated = true;
-      gamma = std::move(gamma2);
-      for (Bitset& l : gamma1) gamma.push_back(std::move(l));
+      AppendAll(&s.next, s.gamma1);
+      std::swap(s.gamma, s.next);
       break;
     }
-    std::vector<Bitset> candidates;
-    candidates.reserve(gamma1.size() * missing.size());
-    for (const Bitset& l1 : gamma1) {
-      for (std::size_t p : missing) {
-        Bitset c = l1;
-        c.Set(p);
-        candidates.push_back(std::move(c));
+    Clear(&s.candidates);
+    for (std::size_t k = 0; k < s.gamma1.counts.size(); ++k) {
+      const std::uint64_t* l1 = At(s.gamma1, k, w);
+      for (std::size_t j = 0; j < w; ++j) {
+        std::uint64_t out =
+            ~a_prime[j] & (j + 1 == w ? tail_mask : ~std::uint64_t{0});
+        for (; out != 0; out &= out - 1) {
+          Append(&s.candidates, l1, s.gamma1.counts[k] + 1, w);
+          s.candidates.words[s.candidates.words.size() - w + j] |=
+              out & -out;
+        }
       }
     }
-    // Deduplicate, then keep candidates that neither cover a surviving
-    // bound from Γ2 nor another (smaller or equal) candidate.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Bitset& a, const Bitset& b) {
-                if (a.Count() != b.Count()) return a.Count() < b.Count();
-                return a.ToVector() < b.ToVector();
-              });
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    std::vector<Bitset> accepted;
+    // Keep the candidates that neither cover a surviving bound from Γ2
+    // nor another (smaller or equal) candidate. In ascending cardinality
+    // any candidate covered by another comes after it, and duplicates
+    // are adjacent.
+    SortOrder(s.candidates, w, /*descending=*/false, &s.order);
+    const std::size_t gamma2_size = s.next.counts.size();
+    const std::uint64_t* prev = nullptr;
     bool step_timed_out = false;
-    for (Bitset& c : candidates) {
+    for (std::uint32_t c_index : s.order) {
+      const std::uint64_t* c = At(s.candidates, c_index, w);
+      if (prev != nullptr && std::equal(c, c + w, prev)) continue;
+      prev = c;
       // Candidate filtering is quadratic in the candidate count; the
       // throttled per-candidate check bounds the overshoot of this one
       // loop. Γ1 was only copied into the candidates, so the cap-style
@@ -165,44 +237,55 @@ LowerBoundResult MineLowerBounds(const BinaryDataset& dataset,
         break;
       }
       bool covers = false;
-      for (const Bitset& l2 : gamma2) {
-        if (l2.IsSubsetOf(c)) {
-          covers = true;
-          break;
-        }
+      for (std::size_t k = 0; k < s.next.counts.size() && !covers; ++k) {
+        covers = IsSubset(At(s.next, k, w), c, w);
       }
-      if (!covers) {
-        // Candidates are sorted by ascending cardinality, so any candidate
-        // covered by another has already been accepted before it.
-        for (const Bitset& other : accepted) {
-          if (other.IsSubsetOf(c)) {
-            covers = true;
-            break;
-          }
-        }
-      }
-      if (!covers) accepted.push_back(std::move(c));
+      if (!covers) Append(&s.next, c, s.candidates.counts[c_index], w);
     }
     if (step_timed_out) {
       result.timed_out = result.truncated = true;
-      gamma = std::move(gamma2);
-      for (Bitset& l : gamma1) gamma.push_back(std::move(l));
+      s.next.words.resize(gamma2_size * w);
+      s.next.counts.resize(gamma2_size);
+      AppendAll(&s.next, s.gamma1);
+      std::swap(s.gamma, s.next);
       break;
     }
-    gamma = std::move(gamma2);
-    for (Bitset& c : accepted) gamma.push_back(std::move(c));
+    std::swap(s.gamma, s.next);
   }
 
   // Convert local positions back to global item ids.
-  result.lower_bounds.reserve(gamma.size());
-  for (const Bitset& l : gamma) {
+  result.lower_bounds.reserve(s.gamma.counts.size());
+  for (std::size_t k = 0; k < s.gamma.counts.size(); ++k) {
+    const std::uint64_t* l = At(s.gamma, k, w);
     ItemVector items;
-    items.reserve(l.Count());
-    l.ForEach([&](std::size_t p) { items.push_back(antecedent[p]); });
+    items.reserve(s.gamma.counts[k]);
+    for (std::size_t j = 0; j < w; ++j) {
+      for (std::uint64_t bits = l[j]; bits != 0; bits &= bits - 1) {
+        items.push_back(antecedent[j * 64 + __builtin_ctzll(bits)]);
+      }
+    }
     result.lower_bounds.push_back(std::move(items));
   }
   std::sort(result.lower_bounds.begin(), result.lower_bounds.end());
   return result;
+}
+
+LowerBoundResult MineLowerBounds(const BinaryDataset& dataset,
+                                 const ItemVector& antecedent,
+                                 const Bitset& rows,
+                                 std::size_t max_candidates,
+                                 const Deadline* deadline) {
+  std::vector<Bitset> item_rows(antecedent.empty() ? 0
+                                                   : antecedent.back() + 1);
+  for (ItemId i : antecedent) {
+    item_rows[i].Resize(dataset.num_rows());
+    for (RowId r = 0; r < dataset.num_rows(); ++r) {
+      if (dataset.RowContains(r, i)) item_rows[i].Set(r);
+    }
+  }
+  MineLbScratch scratch;
+  return MineLowerBounds(item_rows, antecedent, rows, max_candidates,
+                         deadline, &scratch);
 }
 
 Status ValidateLowerBounds(const BinaryDataset& dataset,
@@ -221,7 +304,10 @@ Status ValidateLowerBounds(const BinaryDataset& dataset,
           "lower bound does not generate the group's row set");
     }
     // Minimal: dropping any one item must strictly enlarge the row set.
-    for (std::size_t drop = 0; drop < lb.size(); ++drop) {
+    // A singleton is minimal by definition: dropping its item leaves the
+    // empty itemset, which is no antecedent (it selects every row, so a
+    // group over all rows would otherwise have no valid bound at all).
+    for (std::size_t drop = 0; lb.size() > 1 && drop < lb.size(); ++drop) {
       ItemVector smaller;
       smaller.reserve(lb.size() - 1);
       for (std::size_t i = 0; i < lb.size(); ++i) {

@@ -2,6 +2,7 @@
 #define FARMER_CORE_MINELB_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dataset/dataset.h"
@@ -24,21 +25,62 @@ struct LowerBoundResult {
   bool timed_out = false;
 };
 
+/// Reusable working storage of MineLowerBounds. Every set MineLB builds
+/// (the per-row intersections, Σ, Γ, the candidates) lives here as flat
+/// runs of 64-bit words, ⌈|A|/64⌉ words per set, so a caller that mines
+/// many groups with one scratch allocates nothing per group but the
+/// bounds it keeps. The members are internal to minelb.cc.
+struct MineLbScratch {
+  /// A family of equally sized sets: set i is words[i*w, (i+1)*w) for the
+  /// call's word count w, with its cardinality in counts[i].
+  struct Sets {
+    std::vector<std::uint64_t> words;
+    std::vector<std::uint32_t> counts;
+  };
+  Bitset outside;                       // rows outside R(A) holding A[p]
+  std::vector<std::uint64_t> row_sets;  // I(r) ∩ A, one block per row
+  Sets maximal;                         // maximal I(r) ∩ A, any order
+  Sets sigma;                           // Σ: the same, canonical order
+  Sets gamma;                           // Γ, the bounds so far
+  Sets next;                            // Γ2, then the accepted candidates
+  Sets gamma1;                          // bounds inside the current A'
+  Sets candidates;
+  std::vector<std::uint32_t> order;     // sort permutation of a family
+};
+
 /// MineLB (paper §3.4, Figure 9): computes the lower bounds of the closed
 /// set `antecedent`, i.e. the minimal itemsets L ⊆ antecedent with
 /// R(L) = R(antecedent).
 ///
-/// `rows` must be R(antecedent) over `dataset`'s row ids. The algorithm is
-/// incremental: it starts from singleton bounds and updates them for each
-/// maximal proper subset `I(r) ∩ antecedent` contributed by rows outside
-/// `rows` (Lemmas 3.10/3.11). `max_candidates` caps the intermediate
-/// candidate set per update step (0 = unlimited).
+/// `item_rows[i]` is the set of rows containing item i (the transposed
+/// table in bitset form; only the antecedent's items are read) and `rows`
+/// must be R(antecedent), all over the same rows. Σ, the maximal proper
+/// subsets I(r) ∩ antecedent of rows r outside `rows`, is built column by
+/// column: position p of the antecedent lands in the rows of
+/// item_rows[antecedent[p]] − rows, so the cost is O(|A|·n/64) words and
+/// not O(n·|row|). Σ is taken in a canonical order (cardinality
+/// descending, ties by word order), and the bounds start from the
+/// singletons and are updated once per set of Σ (Lemmas 3.10/3.11).
+/// `max_candidates` caps the intermediate candidate set per update step
+/// (0 = unlimited). `scratch` is reused storage; its contents on entry
+/// do not matter.
 ///
 /// A non-null `deadline` is sampled before every update step (and
-/// throttled inside the row scan), so a single long MineLB invocation
-/// cannot overshoot a near-expired mining deadline: the computation
-/// stops at the next checkpoint with `timed_out` (and `truncated`) set
-/// and the bounds accumulated so far — a valid under-approximation.
+/// throttled inside the Σ construction and the candidate filter), so a
+/// single long MineLB invocation cannot overshoot a near-expired mining
+/// deadline: the computation stops at the next checkpoint with
+/// `timed_out` (and `truncated`) set and the bounds accumulated so far —
+/// a valid under-approximation.
+LowerBoundResult MineLowerBounds(const std::vector<Bitset>& item_rows,
+                                 const ItemVector& antecedent,
+                                 const Bitset& rows,
+                                 std::size_t max_candidates,
+                                 const Deadline* deadline,
+                                 MineLbScratch* scratch);
+
+/// The same computation over a row-major dataset: builds the row sets of
+/// the antecedent's items from `dataset` and runs the overload above with
+/// a fresh scratch. `rows` is R(antecedent) over `dataset`'s row ids.
 LowerBoundResult MineLowerBounds(const BinaryDataset& dataset,
                                  const ItemVector& antecedent,
                                  const Bitset& rows,
