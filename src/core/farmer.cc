@@ -90,26 +90,48 @@ double FarmerMiner::EffectiveMinConfidence(const SearchContext& ctx) const {
   return floor;
 }
 
-bool FarmerMiner::IsDominated(const GroupStore& store, const Bitset& rows,
+void FarmerMiner::GroupStore::Clear() {
+  groups.clear();
+  counts.clear();
+  confs.clear();
+  row_groups.clear();
+  topk_confs.clear();
+  seen_exact.clear();
+}
+
+bool FarmerMiner::IsDominated(GroupStore& store, const Bitset& rows,
                               double conf) const {
   // The IRG comparison (Definition 2.2): a more general rule group exists
   // with confidence >= ours iff some stored group's row set is a proper
   // superset of ours (antecedent closure reverses inclusion). Lemma 3.4
   // plus the post-order insert guarantees all more general groups passing
-  // the constraints are already stored. A proper superset must be strictly
-  // larger and must cover our first set row, so only buckets with
-  // count > ours and first_row <= ours can hold a witness.
-  const std::size_t row_count = rows.Count();
-  const std::size_t first = rows.FindFirst();
-  for (std::size_t c = row_count + 1; c <= store.max_count; ++c) {
-    if (c >= store.by_count_first.size()) break;
-    const auto& per_first = store.by_count_first[c];
-    if (per_first.empty()) continue;
-    const std::size_t f_limit = std::min(first, per_first.size() - 1);
-    for (std::size_t f = 0; f <= f_limit; ++f) {
-      for (std::uint32_t idx : per_first[f]) {
-        const RuleGroup& g = store.groups[idx];
-        if (g.confidence >= conf && rows.IsSubsetOf(g.rows)) return true;
+  // the constraints are already stored. Per 64-group block, the AND of
+  // our rows' words leaves exactly the stored supersets of `rows`; most
+  // blocks die after one or two words. A superset is proper iff it is
+  // strictly larger.
+  std::vector<std::uint32_t>& query = store.query_rows;
+  query.clear();
+  rows.ForEach(
+      [&](std::size_t r) { query.push_back(static_cast<std::uint32_t>(r)); });
+  const std::size_t row_count = query.size();
+  const std::size_t num_groups = store.groups.size();
+  const std::uint64_t* block = store.row_groups.data();
+  for (std::size_t base = 0; base < num_groups; base += 64, block += n_) {
+    // Unused slots of the last block carry no bits, so only an empty
+    // query (no threshold-passing group has one) could report them; the
+    // mask keeps even that from indexing past the groups.
+    const std::size_t live = num_groups - base;
+    std::uint64_t hits =
+        live >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << live) - 1;
+    for (std::uint32_t r : query) {
+      hits &= block[r];
+      if (hits == 0) break;
+    }
+    for (; hits != 0; hits &= hits - 1) {
+      const std::size_t idx =
+          base + static_cast<std::size_t>(__builtin_ctzll(hits));
+      if (store.counts[idx] > row_count && store.confs[idx] >= conf) {
+        return true;
       }
     }
   }
@@ -117,17 +139,15 @@ bool FarmerMiner::IsDominated(const GroupStore& store, const Bitset& rows,
 }
 
 void FarmerMiner::InsertGroup(GroupStore& store, RuleGroup g) const {
-  const std::size_t row_count = g.support_pos + g.support_neg;
-  const std::size_t first = g.rows.FindFirst();
+  const std::size_t idx = store.groups.size();
+  if (idx % 64 == 0) store.row_groups.resize(store.row_groups.size() + n_);
+  std::uint64_t* block = store.row_groups.data() + (idx / 64) * n_;
+  const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+  g.rows.ForEach([&](std::size_t r) { block[r] |= bit; });
+  store.counts.push_back(
+      static_cast<std::uint32_t>(g.support_pos + g.support_neg));
+  store.confs.push_back(g.confidence);
   const double conf = g.confidence;
-  if (store.by_count_first.size() <= row_count) {
-    store.by_count_first.resize(n_ + 1);
-  }
-  auto& per_first = store.by_count_first[row_count];
-  if (per_first.empty()) per_first.resize(n_ > 0 ? n_ : 1);
-  per_first[std::min(first, per_first.size() - 1)].push_back(
-      static_cast<std::uint32_t>(store.groups.size()));
-  store.max_count = std::max(store.max_count, row_count);
   store.groups.push_back(std::move(g));
 
   if (options_.top_k > 0) {
@@ -195,6 +215,11 @@ void FarmerMiner::MergeGroup(GroupStore& store, RuleGroup g) const {
 
 void FarmerMiner::ValidateStore(const GroupStore& store) const {
   const std::vector<RuleGroup>& gs = store.groups;
+  FARMER_CHECK(store.counts.size() == gs.size() &&
+               store.confs.size() == gs.size())
+      << "index arrays out of step with the groups";
+  FARMER_CHECK(store.row_groups.size() == (gs.size() + 63) / 64 * n_)
+      << "row-group bitmap does not hold one block per 64 groups";
   for (std::size_t i = 0; i < gs.size(); ++i) {
     const RuleGroup& g = gs[i];
     g.rows.CheckInvariants();
@@ -206,20 +231,27 @@ void FarmerMiner::ValidateStore(const GroupStore& store) const {
     FARMER_CHECK(g.confidence ==
                  Confidence(g.support_pos, g.support_pos + g.support_neg))
         << "group " << i << ": stale confidence";
-    FARMER_CHECK(count <= store.max_count)
-        << "group " << i << ": row count above the indexed maximum";
-    // The (count, first-row) index must reach the group, else the
-    // dominance comparison would silently skip it.
-    FARMER_CHECK(count < store.by_count_first.size())
-        << "group " << i << ": row count not indexed";
-    const auto& per_first = store.by_count_first[count];
-    FARMER_CHECK(!per_first.empty())
-        << "group " << i << ": empty first-row index for its count";
-    const std::size_t f = std::min(g.rows.FindFirst(), per_first.size() - 1);
-    const auto& bucket = per_first[f];
-    FARMER_CHECK(std::find(bucket.begin(), bucket.end(),
-                           static_cast<std::uint32_t>(i)) != bucket.end())
-        << "group " << i << ": missing from its index bucket";
+    FARMER_CHECK(store.counts[i] == count)
+        << "group " << i << ": indexed row count disagrees with its row set";
+    FARMER_CHECK(store.confs[i] == g.confidence)
+        << "group " << i << ": indexed confidence disagrees with the group";
+    // The group's bit must be set on exactly its rows across its block,
+    // else the dominance comparison would miss it or report a non-superset.
+    const std::uint64_t* block = store.row_groups.data() + (i / 64) * n_;
+    for (std::size_t r = 0; r < n_; ++r) {
+      const bool indexed = (block[r] >> (i % 64)) & 1;
+      FARMER_CHECK(indexed == g.rows.Test(r))
+          << "group " << i << ": row-group bitmap disagrees at row " << r;
+    }
+  }
+  // Slots past the last group carry no bits.
+  if (gs.size() % 64 != 0) {
+    const std::uint64_t unused = ~std::uint64_t{0} << (gs.size() % 64);
+    const std::uint64_t* last = store.row_groups.data() + (gs.size() / 64) * n_;
+    for (std::size_t r = 0; r < n_; ++r) {
+      FARMER_CHECK((last[r] & unused) == 0)
+          << "row-group bitmap sets an unused slot at row " << r;
+    }
   }
   // Closed-pattern uniqueness: every stored row set identifies exactly one
   // group.
@@ -606,7 +638,6 @@ FarmerMiner::SearchContext FarmerMiner::MakeContext(CancelFlag* cancel) const {
     s.scratch.Resize(n_);
     s.scratch2.Resize(n_);
   }
-  ctx.store.by_count_first.resize(n_ + 1);
   ctx.deadline = options_.deadline;
   ctx.cancel = cancel;
   return ctx;
@@ -625,24 +656,44 @@ void FarmerMiner::SubmitTask(ParallelShared& shared, SubtreeTask task,
       });
 }
 
+void FarmerMiner::BeginTask(SearchContext& ctx, const TaskId& id,
+                            std::size_t lane) const {
+  ctx.store.Clear();
+  ctx.stats = MinerStats{};
+  ctx.deadline = options_.deadline;
+  ctx.path = id;
+  ctx.seg_bounds.clear();
+  ctx.seg_bounds.emplace_back(id, 0);
+  ctx.closers.clear();
+  ctx.lane = lane;
+  ctx.published = MinerStats{};
+  ctx.published_groups = 0;
+}
+
+std::vector<MineSegment> FarmerMiner::TakeSegments(SearchContext& ctx) const {
+  std::vector<Segment> out;
+  out.reserve(ctx.seg_bounds.size() + ctx.closers.size());
+  for (std::size_t b = 0; b < ctx.seg_bounds.size(); ++b) {
+    const std::size_t begin = ctx.seg_bounds[b].second;
+    const std::size_t end = b + 1 < ctx.seg_bounds.size()
+                                ? ctx.seg_bounds[b + 1].second
+                                : ctx.store.groups.size();
+    if (begin == end) continue;
+    Segment seg;
+    seg.id = std::move(ctx.seg_bounds[b].first);
+    seg.groups.assign(
+        std::make_move_iterator(ctx.store.groups.begin() + begin),
+        std::make_move_iterator(ctx.store.groups.begin() + end));
+    out.push_back(std::move(seg));
+  }
+  for (Segment& closer : ctx.closers) out.push_back(std::move(closer));
+  return out;
+}
+
 void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
                           std::size_t worker_id) {
   SearchContext& ctx = (*shared.contexts)[worker_id];
-  // Per-task reset; the arena bitsets and index storage are reused.
-  ctx.store.groups.clear();
-  ctx.store.by_count_first.assign(n_ + 1, {});
-  ctx.store.max_count = 0;
-  ctx.store.topk_confs.clear();
-  ctx.store.seen_exact.clear();
-  ctx.stats = MinerStats{};
-  ctx.deadline = options_.deadline;
-  ctx.path = task.id;
-  ctx.seg_bounds.clear();
-  ctx.seg_bounds.emplace_back(task.id, 0);
-  ctx.closers.clear();
-  ctx.lane = worker_id + 1;
-  ctx.published = MinerStats{};
-  ctx.published_groups = 0;
+  BeginTask(ctx, task.id, worker_id + 1);
   const std::uint64_t span_start =
       options_.trace != nullptr ? options_.trace->NowNs() : 0;
   Stopwatch task_sw;
@@ -670,25 +721,7 @@ void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
     top.support.Set(task.row);
   }
   MineIRGs(ctx, task.depth, task.supp, task.supn);
-
-  // Slice the task's inline insertions into their segments and publish
-  // them together with the deferred closers and the task statistics.
-  std::vector<Segment> out;
-  out.reserve(ctx.seg_bounds.size() + ctx.closers.size());
-  for (std::size_t b = 0; b < ctx.seg_bounds.size(); ++b) {
-    const std::size_t begin = ctx.seg_bounds[b].second;
-    const std::size_t end = b + 1 < ctx.seg_bounds.size()
-                                ? ctx.seg_bounds[b + 1].second
-                                : ctx.store.groups.size();
-    if (begin == end) continue;
-    Segment seg;
-    seg.id = std::move(ctx.seg_bounds[b].first);
-    seg.groups.assign(
-        std::make_move_iterator(ctx.store.groups.begin() + begin),
-        std::make_move_iterator(ctx.store.groups.begin() + end));
-    out.push_back(std::move(seg));
-  }
-  for (Segment& closer : ctx.closers) out.push_back(std::move(closer));
+  std::vector<Segment> out = TakeSegments(ctx);
 
   if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
     PublishProgress(ctx);
@@ -780,10 +813,17 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
   }
   stats->task_steals = pool.steal_count();
   stats->tasks_stolen = pool.stolen_task_count();
+  // The drained workers' arenas and stores are dead weight now: free
+  // them before the merge builds its own index.
+  shared.contexts = nullptr;
+  std::vector<SearchContext>().swap(contexts);
+  return MergeSegments(std::move(segments));
+}
 
-  // Deterministic merge: replay every segment's groups in id order
-  // through the same dedup -> dominance -> insert path the sequential
-  // miner uses, which reproduces its insertion stream exactly.
+FarmerMiner::GroupStore FarmerMiner::MergeSegments(
+    std::vector<Segment> segments) const {
+  // Replay every segment's groups in id order through the same dedup ->
+  // dominance -> insert path the sequential miner uses.
   std::stable_sort(
       segments.begin(), segments.end(),
       [](const Segment& a, const Segment& b) { return a.id < b.id; });
@@ -791,8 +831,13 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
       options_.metrics != nullptr
           ? options_.metrics->GetCounter("farmer.merge.segments")
           : nullptr;
+  std::size_t candidates = 0;
+  for (const Segment& seg : segments) candidates += seg.groups.size();
   GroupStore merged;
-  merged.by_count_first.resize(n_ + 1);
+  merged.groups.reserve(candidates);
+  merged.counts.reserve(candidates);
+  merged.confs.reserve(candidates);
+  merged.row_groups.reserve((candidates + 63) / 64 * n_);
   for (Segment& seg : segments) {
     // One "merge" span per replayed segment on the control lane: the
     // pool has drained, so lane 0 has a single producer again.
@@ -1108,23 +1153,9 @@ std::vector<MineSegment> FarmerMiner::MineFarmLease(std::uint32_t row,
   FARMER_CHECK(row < n_ && fr.snapshot->cands.Test(row))
       << "row " << row << " is not a farm lease root";
 
-  // Per-lease reset, mirroring RunTask's per-task reset.
   SearchContext& ctx = *farm_ctx_;
-  ctx.store.groups.clear();
-  ctx.store.by_count_first.assign(n_ + 1, {});
-  ctx.store.max_count = 0;
-  ctx.store.topk_confs.clear();
-  ctx.store.seen_exact.clear();
-  ctx.stats = MinerStats{};
-  ctx.deadline = options_.deadline;
+  BeginTask(ctx, TaskId{row}, /*lane=*/0);
   ctx.cancel = cancel;
-  ctx.path.assign(1, row);
-  ctx.seg_bounds.clear();
-  ctx.seg_bounds.emplace_back(TaskId{row}, 0);
-  ctx.closers.clear();
-  ctx.lane = 0;
-  ctx.published = MinerStats{};
-  ctx.published_groups = 0;
 
   // Derive the lease's node inputs from the root snapshot exactly as
   // RunTask derives a spawned task's.
@@ -1141,23 +1172,7 @@ std::vector<MineSegment> FarmerMiner::MineFarmLease(std::uint32_t row,
   MineIRGs(ctx, 1, fr.supp + (row < m_ ? 1 : 0),
            fr.supn + (row >= m_ ? 1 : 0));
 
-  // Slice the inline insertions into their segments (mirrors RunTask).
-  std::vector<MineSegment> out;
-  out.reserve(ctx.seg_bounds.size() + ctx.closers.size());
-  for (std::size_t b = 0; b < ctx.seg_bounds.size(); ++b) {
-    const std::size_t begin = ctx.seg_bounds[b].second;
-    const std::size_t end = b + 1 < ctx.seg_bounds.size()
-                                ? ctx.seg_bounds[b + 1].second
-                                : ctx.store.groups.size();
-    if (begin == end) continue;
-    MineSegment seg;
-    seg.id = std::move(ctx.seg_bounds[b].first);
-    seg.groups.assign(
-        std::make_move_iterator(ctx.store.groups.begin() + begin),
-        std::make_move_iterator(ctx.store.groups.begin() + end));
-    out.push_back(std::move(seg));
-  }
-  for (MineSegment& closer : ctx.closers) out.push_back(std::move(closer));
+  std::vector<MineSegment> out = TakeSegments(ctx);
 
   if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
     PublishProgress(ctx);
@@ -1182,27 +1197,7 @@ FarmerResult FarmerMiner::FinalizeFarm(std::vector<MineSegment> segments,
   // pool's shared segment vector. Duplicate uploads of the same lease
   // must NOT reach this point (the coordinator dedups by lease id): two
   // copies of one segment would double-insert in report-all mode.
-  std::stable_sort(segments.begin(), segments.end(),
-                   [](const MineSegment& a, const MineSegment& b) {
-                     return a.id < b.id;
-                   });
-  obs::Counter* merge_segments =
-      options_.metrics != nullptr
-          ? options_.metrics->GetCounter("farmer.merge.segments")
-          : nullptr;
-  GroupStore merged;
-  merged.by_count_first.resize(n_ + 1);
-  for (MineSegment& seg : segments) {
-    obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
-                         "merge");
-    span.Arg("groups", static_cast<std::int64_t>(seg.groups.size()));
-    if (merge_segments != nullptr) merge_segments->Increment();
-    for (RuleGroup& g : seg.groups) MergeGroup(merged, std::move(g));
-    if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-      ValidateStore(merged);
-    }
-  }
-  return FinalizeResult(std::move(merged));
+  return FinalizeResult(MergeSegments(std::move(segments)));
 }
 
 }  // namespace internal

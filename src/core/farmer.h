@@ -159,21 +159,28 @@ class FarmerMiner {
   };
 
   // Groups discovered so far plus the superset index the IRG comparison
-  // queries: for each row-set size, indices bucketed by the set's first
-  // row. A proper superset of `rows` must be strictly larger and must
-  // contain rows' first set row, so its own first row can only be <= it —
-  // the two keys prune almost all candidates before any bitset test runs.
+  // queries: a vertical row→group bitmap. `row_groups` is block-major:
+  // block b covers groups 64b..64b+63 and holds one word per dataset row,
+  // whose bit j is set iff group 64b+j contains that row. ANDing a query's
+  // row words within a block leaves exactly the block's supersets of the
+  // query; `counts` and `confs` (parallel to `groups`) then decide
+  // properness and confidence without touching a RuleGroup.
   struct GroupStore {
     std::vector<RuleGroup> groups;
-    // by_count_first[count][first_row] -> indices into `groups`. Outer
-    // entries are allocated lazily on first insert for that count.
-    std::vector<std::vector<std::vector<std::uint32_t>>> by_count_first;
-    std::size_t max_count = 0;  // Largest populated row-set size.
+    std::vector<std::uint32_t> counts;  // |groups[i].rows|
+    std::vector<double> confs;          // groups[i].confidence
+    // ceil(|groups| / 64) blocks of n words each.
+    std::vector<std::uint64_t> row_groups;
+    // IsDominated scratch: the query's row ids.
+    std::vector<std::uint32_t> query_rows;
     // Sorted confidences of the current top-k groups (top-k mode only).
     std::vector<double> topk_confs;
     // Row sets already inserted (exact-mode deduplication): a hash set on
     // the bitset digest, with full equality verified on collision.
     std::unordered_set<Bitset, BitsetHash> seen_exact;
+
+    // Empties the store for the next task, keeping every capacity.
+    void Clear();
   };
 
   using TaskId = farmer::TaskId;
@@ -273,9 +280,8 @@ class FarmerMiner {
 
   // The dominance half of the IRG comparison (Definition 2.2): true when
   // `store` holds a group whose row set properly contains `rows` with
-  // confidence >= `conf`.
-  bool IsDominated(const GroupStore& store, const Bitset& rows,
-                   double conf) const;
+  // confidence >= `conf`. Uses only store.query_rows as scratch.
+  bool IsDominated(GroupStore& store, const Bitset& rows, double conf) const;
 
   // Appends `g` to the store and indexes it. Assumes dominance and
   // thresholds were already checked.
@@ -286,17 +292,23 @@ class FarmerMiner {
   // insert. Mirrors the tail of MaybeInsertGroup.
   void MergeGroup(GroupStore& store, RuleGroup g) const;
 
+  // The deterministic merge shared by RunSearch and FinalizeFarm: replays
+  // every segment's groups in id order through MergeGroup, which
+  // reproduces the sequential insertion stream exactly.
+  GroupStore MergeSegments(std::vector<Segment> segments) const;
+
   // True when all measure thresholds hold for a rule with the given exact
   // counts (x = supp + supn, y = supp).
   bool PassesThresholds(std::size_t supp, std::size_t supn) const;
 
   // verify_invariants: fatal-checks the store's structural invariants —
   // every group's counts/confidence agree with its row set, the
-  // (count, first-row) index reaches every group, all row sets are
-  // distinct closed patterns, and (unless report_all_rule_groups) no
-  // stored group is dominated by another (Definition 2.2 soundness).
-  // Runs after the sequential search and after every parallel segment
-  // merge. O(groups²) bitset work.
+  // row→group bitmap holds each group's bit on exactly its rows (and
+  // counts/confs mirror the group), all row sets are distinct closed
+  // patterns, and (unless report_all_rule_groups) no stored group is
+  // dominated by another (Definition 2.2 soundness, checked pairwise
+  // without the bitmap). Runs after the sequential search and after every
+  // parallel segment merge. O(groups²) bitset work.
   void ValidateStore(const GroupStore& store) const;
 
   // verify_invariants: fatal-checks that each group's stored antecedent
@@ -347,6 +359,16 @@ class FarmerMiner {
   // Publishes the end-of-run counters, timings, and per-group
   // distributions into MinerOptions::metrics (must be non-null).
   void ExportMetrics(const FarmerResult& result) const;
+
+  // Per-task reset shared by RunTask and MineFarmLease: empties the store
+  // and the per-task bookkeeping (capacities kept) and opens the task's
+  // first inline segment at `id`.
+  void BeginTask(SearchContext& ctx, const TaskId& id,
+                 std::size_t lane) const;
+
+  // Slices the task's inline insertions into their segments and appends
+  // the deferred closers (shared by RunTask and MineFarmLease).
+  std::vector<Segment> TakeSegments(SearchContext& ctx) const;
 
   // Executes one subtree task on worker `worker_id`: rebuilds the node
   // inputs from the snapshot, mines, then publishes segments + stats.

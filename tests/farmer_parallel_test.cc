@@ -3,6 +3,7 @@
 // same antecedents, row sets, supports, confidences, and ordering.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -102,6 +103,53 @@ BinaryDataset SmallPaperDataset(const std::string& name) {
   return disc.Apply(matrix);
 }
 
+// Replays the farm decomposition in-process: one miner plans and mines
+// every lease, a second one merges the uploads and the root's segments,
+// as a coordinator would.
+FarmerResult MineViaFarm(const BinaryDataset& dataset,
+                         const MinerOptions& opts) {
+  internal::FarmerMiner worker(dataset, opts);
+  const internal::FarmerMiner::FarmPlan& plan = worker.PlanFarm();
+  std::vector<MineSegment> uploads = plan.root_segments;
+  MinerStats stats = plan.root_stats;
+  if (!plan.root_pruned) {
+    for (const std::uint32_t row : plan.lease_rows) {
+      MinerStats lease_stats;
+      std::vector<MineSegment> segments =
+          worker.MineFarmLease(row, nullptr, &lease_stats);
+      for (MineSegment& seg : segments) uploads.push_back(std::move(seg));
+      stats.MergeFrom(lease_stats);
+    }
+  }
+  internal::FarmerMiner coordinator(dataset, opts);
+  return coordinator.FinalizeFarm(std::move(uploads), stats);
+}
+
+// Definition 2.2 by brute force, independent of the miner's dominance
+// index: from every group passing the thresholds (report-all mode), keep
+// the groups no other group dominates — a proper row superset with
+// confidence at least as high. Sets *candidates to the report-all count.
+FarmerResult DominanceOracle(const BinaryDataset& dataset,
+                             MinerOptions opts, std::size_t* candidates) {
+  opts.report_all_rule_groups = true;
+  opts.num_threads = 1;
+  FarmerResult all = MineFarmer(dataset, opts);
+  *candidates = all.groups.size();
+  std::vector<RuleGroup> kept;
+  for (const RuleGroup& g : all.groups) {
+    bool dominated = false;
+    for (const RuleGroup& h : all.groups) {
+      if (g.rows.IsProperSubsetOf(h.rows) && h.confidence >= g.confidence) {
+        dominated = true;
+        break;
+      }
+    }
+    if (!dominated) kept.push_back(g);
+  }
+  all.groups = std::move(kept);
+  return all;
+}
+
 TEST(FarmerParallelTest, PaperExampleAllThreadCounts) {
   MinerOptions opts;
   opts.min_support = 1;
@@ -120,6 +168,58 @@ TEST(FarmerParallelTest, VerifyInvariantsModeAllThreadCounts) {
   opts.verify_invariants = true;
   ExpectThreadCountInvariant(RandomDataset(13, 22, 0.35, 77), opts);
   ExpectThreadCountInvariant(SkewedDataset(10, 14, 77), opts);
+}
+
+TEST(FarmerParallelTest, VerifyInvariantsAcrossIndexBlocks) {
+  // Self-verification on a store spanning several 64-group blocks of the
+  // row->group bitmap, with multi-word row sets: the bitmap must match
+  // every group's rows after the sequential search, after every segment
+  // of the thread merge, and after every segment of the farm merge.
+  const BinaryDataset ds = SmallPaperDataset("BC");
+  ASSERT_GT(ds.num_rows(), 64u);
+  MinerOptions opts;
+  opts.min_support = 6;
+  opts.min_confidence = 0.8;
+  opts.verify_invariants = true;
+  opts.num_threads = 1;
+  const FarmerResult sequential = MineFarmer(ds, opts);
+  ASSERT_GT(sequential.groups.size(), 128u);
+  opts.num_threads = 4;
+  ExpectIdenticalResults(sequential, MineFarmer(ds, opts));
+  SCOPED_TRACE("farm");
+  ExpectIdenticalResults(sequential, MineViaFarm(ds, opts));
+}
+
+TEST(FarmerParallelTest, DominanceMatchesBruteForceOracle) {
+  // The IRG comparison against the definition itself, on datasets whose
+  // row sets span two and three words and whose stores fill several
+  // 64-group blocks. The mined groups must equal the oracle's element by
+  // element and in order, sequentially, in parallel and through the farm.
+  struct Case {
+    const char* name;
+    std::size_t min_support;
+    double min_confidence;
+  };
+  for (const Case& c : {Case{"BC", 6, 0.8}, Case{"PC", 4, 0.9}}) {
+    SCOPED_TRACE(c.name);
+    const BinaryDataset ds = SmallPaperDataset(c.name);
+    ASSERT_GT(ds.num_rows(), 64u);
+    MinerOptions opts;
+    opts.min_support = c.min_support;
+    opts.min_confidence = c.min_confidence;
+    opts.mine_lower_bounds = false;
+    std::size_t candidates = 0;
+    const FarmerResult oracle = DominanceOracle(ds, opts, &candidates);
+    ASSERT_GT(oracle.groups.size(), 128u);
+    ASSERT_LT(oracle.groups.size(), candidates);  // Dominance drops some.
+    for (std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("threads = " + std::to_string(threads));
+      opts.num_threads = threads;
+      ExpectIdenticalResults(oracle, MineFarmer(ds, opts));
+    }
+    SCOPED_TRACE("farm");
+    ExpectIdenticalResults(oracle, MineViaFarm(ds, opts));
+  }
 }
 
 TEST(FarmerParallelTest, RandomDatasetsAllThreadCounts) {
