@@ -1,6 +1,8 @@
 #include "core/farmer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <utility>
 
 #include "core/measures.h"
@@ -16,6 +18,52 @@
 
 namespace farmer {
 namespace internal {
+
+namespace {
+
+// The thread pool of one mine (none with num_threads <= 1): the search,
+// the merge, MineLB and the remap all run on it.
+class MinePool {
+ public:
+  explicit MinePool(const MinerOptions& options)
+      : steal_observer_(options.trace) {
+    if (options.num_threads <= 1) return;
+    pool_ = std::make_unique<ThreadPool>(options.num_threads);
+    if (options.trace != nullptr) pool_->SetObserver(&steal_observer_);
+  }
+
+  // The pool holds the observer's address.
+  MinePool(const MinePool&) = delete;
+  MinePool& operator=(const MinePool&) = delete;
+
+  ThreadPool* get() const { return pool_.get(); }
+
+ private:
+  // Declared before the pool so it outlives the worker threads.
+  obs::TracingPoolObserver steal_observer_;
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+// Runs fn(begin, end, worker) over [0, count) in chunks of `chunk`: as
+// tasks on `pool` (worker = the pool worker's id), or inline as worker 0
+// when `pool` is null. Returns once every chunk has run.
+template <typename Fn>
+void ForEachChunk(ThreadPool* pool, std::size_t count, std::size_t chunk,
+                  const Fn& fn) {
+  for (std::size_t begin = 0; begin < count; begin += chunk) {
+    const std::size_t end = std::min(count, begin + chunk);
+    if (pool == nullptr) {
+      fn(begin, end, 0);
+    } else {
+      pool->Submit([&fn, begin, end](std::size_t worker) {
+        fn(begin, end, worker);
+      });
+    }
+  }
+  if (pool != nullptr) pool->Wait();
+}
+
+}  // namespace
 
 FarmerMiner::FarmerMiner(const BinaryDataset& dataset,
                          const MinerOptions& options)
@@ -99,8 +147,9 @@ void FarmerMiner::GroupStore::Clear() {
   seen_exact.clear();
 }
 
-bool FarmerMiner::IsDominated(GroupStore& store, const Bitset& rows,
-                              double conf) const {
+bool FarmerMiner::IsDominated(const IndexView& index, std::size_t limit,
+                              const Bitset& rows, double conf,
+                              std::vector<std::uint32_t>* query) const {
   // The IRG comparison (Definition 2.2): a more general rule group exists
   // with confidence >= ours iff some stored group's row set is a proper
   // superset of ours (antecedent closure reverses inclusion). Lemma 3.4
@@ -109,28 +158,30 @@ bool FarmerMiner::IsDominated(GroupStore& store, const Bitset& rows,
   // our rows' words leaves exactly the stored supersets of `rows`; most
   // blocks die after one or two words. A superset is proper iff it is
   // strictly larger.
-  std::vector<std::uint32_t>& query = store.query_rows;
-  query.clear();
+  query->clear();
   rows.ForEach(
-      [&](std::size_t r) { query.push_back(static_cast<std::uint32_t>(r)); });
-  const std::size_t row_count = query.size();
-  const std::size_t num_groups = store.groups.size();
-  const std::uint64_t* block = store.row_groups.data();
-  for (std::size_t base = 0; base < num_groups; base += 64, block += n_) {
-    // Unused slots of the last block carry no bits, so only an empty
-    // query (no threshold-passing group has one) could report them; the
-    // mask keeps even that from indexing past the groups.
-    const std::size_t live = num_groups - base;
+      [&](std::size_t r) { query->push_back(static_cast<std::uint32_t>(r)); });
+  const std::size_t row_count = query->size();
+  const std::uint64_t* block = index.row_groups;
+  for (std::size_t base = 0; base < limit; base += 64, block += n_) {
+    // Slots at or past `limit` may be indexed (the merge queries a
+    // prefix of its candidates) but must not be reported.
+    const std::size_t live = limit - base;
     std::uint64_t hits =
         live >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << live) - 1;
-    for (std::uint32_t r : query) {
-      hits &= block[r];
-      if (hits == 0) break;
+    // Most blocks die within a few rows, at an unpredictable one: AND the
+    // first four rows without a branch, then exit early.
+    const std::uint32_t* q = query->data();
+    std::size_t next = 0;
+    if (row_count >= 4) {
+      hits &= block[q[0]] & block[q[1]] & block[q[2]] & block[q[3]];
+      next = 4;
     }
+    for (; next < row_count && hits != 0; ++next) hits &= block[q[next]];
     for (; hits != 0; hits &= hits - 1) {
       const std::size_t idx =
           base + static_cast<std::size_t>(__builtin_ctzll(hits));
-      if (store.counts[idx] > row_count && store.confs[idx] >= conf) {
+      if (index.counts[idx] > row_count && index.confs[idx] >= conf) {
         return true;
       }
     }
@@ -140,23 +191,17 @@ bool FarmerMiner::IsDominated(GroupStore& store, const Bitset& rows,
 
 void FarmerMiner::InsertGroup(GroupStore& store, RuleGroup g) const {
   const std::size_t idx = store.groups.size();
-  if (idx % 64 == 0) store.row_groups.resize(store.row_groups.size() + n_);
+  const std::size_t blocks_end = (idx / 64 + 1) * n_;
+  if (store.row_groups.size() < blocks_end) {
+    store.row_groups.resize(blocks_end);
+  }
   std::uint64_t* block = store.row_groups.data() + (idx / 64) * n_;
   const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
   g.rows.ForEach([&](std::size_t r) { block[r] |= bit; });
   store.counts.push_back(
       static_cast<std::uint32_t>(g.support_pos + g.support_neg));
   store.confs.push_back(g.confidence);
-  const double conf = g.confidence;
   store.groups.push_back(std::move(g));
-
-  if (options_.top_k > 0) {
-    auto it = std::lower_bound(store.topk_confs.begin(),
-                               store.topk_confs.end(), conf,
-                               [](double a, double b) { return a > b; });
-    store.topk_confs.insert(it, conf);
-    if (store.topk_confs.size() > options_.top_k) store.topk_confs.pop_back();
-  }
 }
 
 void FarmerMiner::MaybeInsertGroup(SearchContext& ctx, std::size_t depth,
@@ -176,12 +221,22 @@ void FarmerMiner::MaybeInsertGroup(SearchContext& ctx, std::size_t depth,
   }
 
   if (!PassesThresholds(supp, supn)) return;
+  GroupStore& store = ctx.store;
   const double conf = Confidence(supp, supp + supn);
   if (!options_.report_all_rule_groups &&
-      IsDominated(ctx.store, *rows, conf)) {
+      IsDominated(IndexView(store), store.groups.size(), *rows, conf,
+                  &store.query_rows)) {
     return;
   }
-  InsertGroup(ctx.store, MakeGroup(s, *rows, supp, supn));
+  InsertGroup(store, MakeGroup(s, *rows, supp, supn));
+
+  if (options_.top_k > 0) {
+    auto it = std::lower_bound(store.topk_confs.begin(),
+                               store.topk_confs.end(), conf,
+                               [](double a, double b) { return a > b; });
+    store.topk_confs.insert(it, conf);
+    if (store.topk_confs.size() > options_.top_k) store.topk_confs.pop_back();
+  }
 }
 
 RuleGroup FarmerMiner::MakeGroup(const DepthScratch& s, const Bitset& rows,
@@ -199,39 +254,17 @@ RuleGroup FarmerMiner::MakeGroup(const DepthScratch& s, const Bitset& rows,
   return g;
 }
 
-void FarmerMiner::MergeGroup(GroupStore& store, RuleGroup g) const {
-  // Replay of the global tail of MaybeInsertGroup: the worker already
-  // checked the thresholds (state-independent), but exact-mode dedup and
-  // the dominance comparison must rerun against the merged store so that
-  // groups dominated by an earlier subtree are dropped exactly as the
-  // sequential miner drops them.
-  if (exact_mode_ && !store.seen_exact.insert(g.rows).second) return;
-  if (!options_.report_all_rule_groups &&
-      IsDominated(store, g.rows, g.confidence)) {
-    return;
-  }
-  InsertGroup(store, std::move(g));
-}
-
-void FarmerMiner::ValidateStore(const GroupStore& store) const {
+void FarmerMiner::ValidateIndex(const GroupStore& store) const {
   const std::vector<RuleGroup>& gs = store.groups;
   FARMER_CHECK(store.counts.size() == gs.size() &&
                store.confs.size() == gs.size())
       << "index arrays out of step with the groups";
-  FARMER_CHECK(store.row_groups.size() == (gs.size() + 63) / 64 * n_)
+  FARMER_CHECK(store.row_groups.size() % n_ == 0 &&
+               store.row_groups.size() >= (gs.size() + 63) / 64 * n_)
       << "row-group bitmap does not hold one block per 64 groups";
   for (std::size_t i = 0; i < gs.size(); ++i) {
     const RuleGroup& g = gs[i];
-    g.rows.CheckInvariants();
-    const std::size_t count = g.rows.Count();
-    FARMER_CHECK(g.support_pos + g.support_neg == count)
-        << "group " << i << ": support counts disagree with its row set";
-    FARMER_CHECK(g.support_pos == ref::CountPrefix(g.rows, m_))
-        << "group " << i << ": positive support disagrees with its row set";
-    FARMER_CHECK(g.confidence ==
-                 Confidence(g.support_pos, g.support_pos + g.support_neg))
-        << "group " << i << ": stale confidence";
-    FARMER_CHECK(store.counts[i] == count)
+    FARMER_CHECK(store.counts[i] == g.rows.Count())
         << "group " << i << ": indexed row count disagrees with its row set";
     FARMER_CHECK(store.confs[i] == g.confidence)
         << "group " << i << ": indexed confidence disagrees with the group";
@@ -244,14 +277,31 @@ void FarmerMiner::ValidateStore(const GroupStore& store) const {
           << "group " << i << ": row-group bitmap disagrees at row " << r;
     }
   }
-  // Slots past the last group carry no bits.
-  if (gs.size() % 64 != 0) {
-    const std::uint64_t unused = ~std::uint64_t{0} << (gs.size() % 64);
-    const std::uint64_t* last = store.row_groups.data() + (gs.size() / 64) * n_;
-    for (std::size_t r = 0; r < n_; ++r) {
-      FARMER_CHECK((last[r] & unused) == 0)
-          << "row-group bitmap sets an unused slot at row " << r;
-    }
+  // Slots past the last group carry no bits: the part of its block the
+  // groups leave free, and every later block.
+  const std::size_t first_free_block = gs.size() / 64;
+  for (std::size_t w = first_free_block * n_; w < store.row_groups.size();
+       ++w) {
+    const std::uint64_t unused = w / n_ == first_free_block
+                                     ? ~std::uint64_t{0} << (gs.size() % 64)
+                                     : ~std::uint64_t{0};
+    FARMER_CHECK((store.row_groups[w] & unused) == 0)
+        << "row-group bitmap sets an unused slot at row " << w % n_;
+  }
+}
+
+void FarmerMiner::ValidateGroups(const std::vector<RuleGroup>& gs) const {
+  for (std::size_t i = 0; i < gs.size(); ++i) {
+    const RuleGroup& g = gs[i];
+    g.rows.CheckInvariants();
+    const std::size_t count = g.rows.Count();
+    FARMER_CHECK(g.support_pos + g.support_neg == count)
+        << "group " << i << ": support counts disagree with its row set";
+    FARMER_CHECK(g.support_pos == ref::CountPrefix(g.rows, m_))
+        << "group " << i << ": positive support disagrees with its row set";
+    FARMER_CHECK(g.confidence ==
+                 Confidence(g.support_pos, g.support_pos + g.support_neg))
+        << "group " << i << ": stale confidence";
   }
   // Closed-pattern uniqueness: every stored row set identifies exactly one
   // group.
@@ -744,9 +794,10 @@ void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
   for (Segment& seg : out) shared.segments.push_back(std::move(seg));
 }
 
-FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
+std::vector<RuleGroup> FarmerMiner::RunSearch(MinerStats* stats,
+                                              ThreadPool* pool) {
   CancelFlag cancel;
-  if (options_.num_threads <= 1) {
+  if (pool == nullptr) {
     SearchContext ctx = MakeContext(&cancel);
     DepthScratch& root = ctx.arena[0];
     for (ItemId i = 0; i < tt_.num_items(); ++i) {
@@ -759,9 +810,10 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
     }
     *stats = ctx.stats;
     if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-      ValidateStore(ctx.store);
+      ValidateIndex(ctx.store);
+      ValidateGroups(ctx.store.groups);
     }
-    return std::move(ctx.store);
+    return std::move(ctx.store.groups);
   }
 
   // Parallel search: a single root task seeds the work-stealing pool;
@@ -769,13 +821,9 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
   // on queued work (ShouldSplit), so one skewed subtree cannot serialize
   // the run. Every emitted segment carries the lexicographic id of its
   // position in the sequential insertion stream.
-  const std::size_t num_workers = options_.num_threads;
-  // Declared before the pool so it outlives the worker threads.
-  obs::TracingPoolObserver steal_observer(options_.trace);
-  ThreadPool pool(num_workers);
-  if (options_.trace != nullptr) pool.SetObserver(&steal_observer);
+  const std::size_t num_workers = pool->num_threads();
   ParallelShared shared;
-  shared.pool = &pool;
+  shared.pool = pool;
   shared.hungry_below = num_workers;
   if (options_.metrics != nullptr) {
     shared.task_seconds = options_.metrics->GetHistogram(
@@ -797,12 +845,12 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
                                                std::memory_order_relaxed);
   }
   SubmitTask(shared, std::move(root_task), obs::TraceSession::kMainLane);
-  pool.Wait();
+  pool->Wait();
   if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-    pool.CheckQuiescent();
+    pool->CheckQuiescent();
   }
 
-  // pool.Wait() means no task can still touch `shared`, but that is a
+  // pool->Wait() means no task can still touch `shared`, but that is a
   // scheduling argument the analysis cannot see — so take the (now
   // uncontended) lock once and move the guarded state into locals.
   std::vector<Segment> segments;
@@ -811,19 +859,31 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
     *stats = shared.stats;
     segments = std::move(shared.segments);
   }
-  stats->task_steals = pool.steal_count();
-  stats->tasks_stolen = pool.stolen_task_count();
   // The drained workers' arenas and stores are dead weight now: free
   // them before the merge builds its own index.
   shared.contexts = nullptr;
   std::vector<SearchContext>().swap(contexts);
-  return MergeSegments(std::move(segments));
+  return MergeSegments(std::move(segments), pool);
 }
 
-FarmerMiner::GroupStore FarmerMiner::MergeSegments(
-    std::vector<Segment> segments) const {
-  // Replay every segment's groups in id order through the same dedup ->
-  // dominance -> insert path the sequential miner uses.
+std::vector<RuleGroup> FarmerMiner::MergeSegments(
+    std::vector<Segment> segments, ThreadPool* pool) const {
+  // The sequential miner drops candidate c_i iff an earlier *stored*
+  // group dominates it (a proper row superset with confidence >= its
+  // own). That is the same as "some earlier *candidate* dominates c_i":
+  // a dropped candidate was dominated by an earlier stored one, and
+  // dominance is transitive; an exact-mode duplicate has the same rows
+  // and confidence as its first copy, which is the one kept. So each
+  // candidate's fate depends only on the candidates before it, never on
+  // another keep/drop decision, and the checks can run in any order.
+  //
+  // The control thread walks the segments in id order, dedups (exact
+  // mode) and indexes every candidate into one row->group bitmap sized
+  // for all of them. Each completed chunk of kMergeChunk candidates goes
+  // to the pool at once and is checked against the lower indices. A
+  // chunk is two whole 64-candidate blocks, so the workers read only
+  // blocks the control thread has finished writing.
+  constexpr std::size_t kMergeChunk = 128;
   std::stable_sort(
       segments.begin(), segments.end(),
       [](const Segment& a, const Segment& b) { return a.id < b.id; });
@@ -833,28 +893,75 @@ FarmerMiner::GroupStore FarmerMiner::MergeSegments(
           : nullptr;
   std::size_t candidates = 0;
   for (const Segment& seg : segments) candidates += seg.groups.size();
-  GroupStore merged;
-  merged.groups.reserve(candidates);
-  merged.counts.reserve(candidates);
-  merged.confs.reserve(candidates);
-  merged.row_groups.reserve((candidates + 63) / 64 * n_);
-  for (Segment& seg : segments) {
-    // One "merge" span per replayed segment on the control lane: the
-    // pool has drained, so lane 0 has a single producer again.
+  GroupStore index;
+  // Reserved and sized once, so nothing the workers read moves: they
+  // reach the candidates and the index through pointers taken here while
+  // the control thread keeps appending.
+  index.groups.reserve(candidates);
+  index.counts.reserve(candidates);
+  index.confs.reserve(candidates);
+  index.row_groups.resize((candidates + 63) / 64 * n_);
+  const IndexView view(index);
+  const RuleGroup* const groups = index.groups.data();
+  std::vector<std::uint8_t> keep(candidates, 1);
+  std::vector<std::vector<std::uint32_t>> queries(
+      pool != nullptr ? pool->num_threads() : 1);
+  const auto check = [&](std::size_t begin, std::size_t end,
+                         std::size_t worker) {
+    for (std::size_t i = begin; i < end; ++i) {
+      keep[i] = !IsDominated(view, i, groups[i].rows, view.confs[i],
+                             &queries[worker]);
+    }
+  };
+  std::size_t handed_out = 0;  // Candidates [0, handed_out) are queued.
+  const auto hand_out = [&](std::size_t end) {
+    if (!options_.report_all_rule_groups && end > handed_out) {
+      if (pool == nullptr) {
+        check(handed_out, end, 0);
+      } else {
+        pool->Submit([&check, begin = handed_out, end](std::size_t worker) {
+          check(begin, end, worker);
+        });
+      }
+    }
+    handed_out = end;
+  };
+
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    // One "merge" span per segment on the control lane; the workers
+    // checking candidates emit no events.
     obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
                          "merge");
-    span.Arg("groups", static_cast<std::int64_t>(seg.groups.size()));
+    span.Arg("groups", static_cast<std::int64_t>(segments[s].groups.size()));
     if (merge_segments != nullptr) merge_segments->Increment();
-    for (RuleGroup& g : seg.groups) MergeGroup(merged, std::move(g));
-    // Debug mode: the store must satisfy its invariants after *every*
-    // segment merge, not only at the end — this is the executable form of
-    // the deterministic-merge argument (each merged segment leaves the
-    // store exactly as some prefix of the sequential run would).
-    if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-      ValidateStore(merged);
+    for (RuleGroup& g : segments[s].groups) {
+      if (exact_mode_ && !index.seen_exact.insert(g.rows).second) continue;
+      InsertGroup(index, std::move(g));
+      if (index.groups.size() % kMergeChunk == 0) {
+        hand_out(index.groups.size());
+      }
     }
+    // Debug mode: the candidate index must be exact after *every*
+    // segment, not only at the end.
+    if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
+      ValidateIndex(index);
+    }
+    if (s + 1 < segments.size()) continue;
+    hand_out(index.groups.size());
+    if (pool != nullptr) pool->Wait();
+    // Compact the survivors to the front, in order.
+    std::size_t num_kept = 0;
+    for (std::size_t i = 0; i < index.groups.size(); ++i) {
+      if (keep[i] == 0) continue;
+      if (num_kept != i) index.groups[num_kept] = std::move(index.groups[i]);
+      ++num_kept;
+    }
+    index.groups.resize(num_kept);
   }
-  return merged;
+  if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
+    ValidateGroups(index.groups);
+  }
+  return std::move(index.groups);
 }
 
 void FarmerMiner::PublishProgress(SearchContext& ctx) const {
@@ -932,24 +1039,25 @@ FarmerResult FarmerMiner::Mine() {
   result.num_consequent_rows = m_;
   if (n_ == 0) return result;
 
+  MinePool pool(options_);
   Stopwatch sw;
-  GroupStore store;
+  std::vector<RuleGroup> groups;
   {
     obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
                          "mine");
-    store = RunSearch(&stats_);
+    groups = RunSearch(&stats_, pool.get());
     span.Arg("nodes", static_cast<std::int64_t>(stats_.nodes_visited));
-    span.Arg("groups", static_cast<std::int64_t>(store.groups.size()));
+    span.Arg("groups", static_cast<std::int64_t>(groups.size()));
   }
   stats_.mine_seconds = sw.ElapsedSeconds();
-  return FinalizeResult(std::move(store));
+  return FinalizeResult(std::move(groups), pool.get());
 }
 
-FarmerResult FarmerMiner::FinalizeResult(GroupStore store) {
+FarmerResult FarmerMiner::FinalizeResult(std::vector<RuleGroup> groups,
+                                         ThreadPool* pool) {
   FarmerResult result;
   result.num_rows = n_;
   result.num_consequent_rows = m_;
-  std::vector<RuleGroup> groups = std::move(store.groups);
   // After RunSearch (and in farm merges): the search overwrites stats_
   // with the aggregated per-task counters, which never carry a level of
   // their own.
@@ -981,17 +1089,53 @@ FarmerResult FarmerMiner::FinalizeResult(GroupStore store) {
     obs::ScopedSpan lb_phase(options_.trace, obs::TraceSession::kMainLane,
                              "minelb_phase");
     lb_phase.Arg("groups", static_cast<std::int64_t>(groups.size()));
-    MineLbScratch scratch;
+    MineGroupLowerBounds(groups, pool);
+    stats_.lower_bound_seconds = lb_sw.ElapsedSeconds();
+  }
+
+  {
+    obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
+                         "remap");
+    span.Arg("groups", static_cast<std::int64_t>(groups.size()));
+    RemapRows(groups, pool);
+  }
+  if (pool != nullptr) {
+    // Every phase above ran on the pool, and so did the search.
+    stats_.task_steals += pool->steal_count();
+    stats_.tasks_stolen += pool->stolen_task_count();
+  }
+
+  result.groups = std::move(groups);
+  result.stats = stats_;
+  if (options_.metrics != nullptr) ExportMetrics(result);
+  return result;
+}
+
+void FarmerMiner::MineGroupLowerBounds(std::vector<RuleGroup>& groups,
+                                       ThreadPool* pool) {
+  const std::size_t workers = pool != nullptr ? pool->num_threads() : 1;
+  std::vector<MineLbScratch> scratch(workers);
+  // Expired() and ExpiredNow() update the Deadline they are called on, so
+  // every worker samples a copy of its own.
+  std::vector<Deadline> deadlines(workers, options_.deadline);
+  std::vector<std::uint8_t> finished(groups.size(), 0);
+  // Set once the deadline fired, on any worker: the groups not started
+  // yet are skipped.
+  std::atomic<bool> expired{false};
+  const auto mine = [&](std::size_t begin, std::size_t end,
+                        std::size_t worker) {
+    const std::size_t lane =
+        pool != nullptr ? worker + 1 : obs::TraceSession::kMainLane;
     ItemVector recovered;
-    std::size_t done = 0;
-    for (; done < groups.size(); ++done) {
-      RuleGroup& g = groups[done];
+    for (std::size_t i = begin; i < end; ++i) {
       // Unthrottled: one MineLB call can dwarf the check interval, so
       // each group re-samples the clock directly.
-      if (options_.deadline.ExpiredNow()) {
-        stats_.timed_out = true;
-        break;
+      if (expired.load(std::memory_order_relaxed) ||
+          deadlines[worker].ExpiredNow()) {
+        expired.store(true, std::memory_order_relaxed);
+        return;
       }
+      RuleGroup& g = groups[i];
       const ItemVector* antecedent = &g.antecedent;
       if (antecedent->empty()) {
         // Antecedents were not stored: recover I(rows) by intersecting the
@@ -1011,11 +1155,10 @@ FarmerResult FarmerMiner::FinalizeResult(GroupStore store) {
       }
       LowerBoundResult lb;
       {
-        obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
-                             "minelb");
+        obs::ScopedSpan span(options_.trace, lane, "minelb");
         lb = MineLowerBounds(tuple_bits_, *antecedent, g.rows,
                              options_.max_lower_bound_candidates,
-                             &options_.deadline, &scratch);
+                             &deadlines[worker], &scratch[worker]);
         span.Arg("bounds",
                  static_cast<std::int64_t>(lb.lower_bounds.size()));
         span.Arg("truncated", lb.truncated ? 1 : 0);
@@ -1032,37 +1175,41 @@ FarmerResult FarmerMiner::FinalizeResult(GroupStore store) {
       }
       g.lower_bounds = std::move(lb.lower_bounds);
       g.lower_bounds_truncated = lb.truncated;
+      finished[i] = 1;
       if (lb.timed_out) {
         // The deadline fired inside the computation; the remaining
         // groups' MineLB calls would all time out instantly too.
-        stats_.timed_out = true;
-        break;
+        expired.store(true, std::memory_order_relaxed);
+        return;
       }
     }
-    // Groups MineLB never finished carry partial or no bounds: flag them.
-    for (std::size_t i = done; i < groups.size(); ++i) {
-      groups[i].lower_bounds_truncated = true;
-    }
-    stats_.lower_bound_seconds = lb_sw.ElapsedSeconds();
+  };
+  ForEachChunk(pool, groups.size(), /*chunk=*/32, mine);
+  if (expired.load(std::memory_order_relaxed)) stats_.timed_out = true;
+  // Groups MineLB never finished carry partial or no bounds: flag them.
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (finished[i] == 0) groups[i].lower_bounds_truncated = true;
   }
+}
 
-  // Remap row sets from permuted to original row ids.
-  {
-    obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
-                         "remap");
-    span.Arg("groups", static_cast<std::int64_t>(groups.size()));
-    for (RuleGroup& g : groups) {
-      Bitset original(n_);
-      g.rows.ForEach(
-          [&](std::size_t pos) { original.Set(order_.order[pos]); });
-      g.rows = std::move(original);
+void FarmerMiner::RemapRows(std::vector<RuleGroup>& groups,
+                            ThreadPool* pool) const {
+  std::vector<Bitset> scratch(pool != nullptr ? pool->num_threads() : 1,
+                              Bitset(n_));
+  const auto remap = [&](std::size_t begin, std::size_t end,
+                         std::size_t worker) {
+    Bitset& permuted = scratch[worker];
+    for (std::size_t i = begin; i < end; ++i) {
+      // Swap the permuted-id rows into the scratch and rewrite the group's
+      // own (same-sized) storage: no allocation per group.
+      Bitset& rows = groups[i].rows;
+      std::swap(permuted, rows);
+      rows.ResetAll();
+      permuted.ForEach(
+          [&](std::size_t pos) { rows.Set(order_.order[pos]); });
     }
-  }
-
-  result.groups = std::move(groups);
-  result.stats = stats_;
-  if (options_.metrics != nullptr) ExportMetrics(result);
-  return result;
+  };
+  ForEachChunk(pool, groups.size(), /*chunk=*/1024, remap);
 }
 
 void FarmerMiner::EnsureFarmRoot() {
@@ -1197,7 +1344,9 @@ FarmerResult FarmerMiner::FinalizeFarm(std::vector<MineSegment> segments,
   // pool's shared segment vector. Duplicate uploads of the same lease
   // must NOT reach this point (the coordinator dedups by lease id): two
   // copies of one segment would double-insert in report-all mode.
-  return FinalizeResult(MergeSegments(std::move(segments)));
+  MinePool pool(options_);
+  return FinalizeResult(MergeSegments(std::move(segments), pool.get()),
+                        pool.get());
 }
 
 }  // namespace internal

@@ -70,7 +70,8 @@ struct FarmerResult {
 /// remaining sibling branches of its current node as new tasks instead
 /// of recursing into them. Every task carries a lexicographic id (its
 /// row path) and per-task results are merged in id order, so the groups
-/// are bit-identical to a sequential run for every thread count.
+/// are bit-identical to a sequential run for every thread count. The
+/// merge, MineLB and the row-id remap run on the same pool.
 FarmerResult MineFarmer(const BinaryDataset& dataset,
                         const MinerOptions& options);
 
@@ -164,12 +165,14 @@ class FarmerMiner {
   // whose bit j is set iff group 64b+j contains that row. ANDing a query's
   // row words within a block leaves exactly the block's supersets of the
   // query; `counts` and `confs` (parallel to `groups`) then decide
-  // properness and confidence without touching a RuleGroup.
+  // properness and confidence without touching a RuleGroup. The merge
+  // uses the same layout to index its candidates.
   struct GroupStore {
     std::vector<RuleGroup> groups;
     std::vector<std::uint32_t> counts;  // |groups[i].rows|
     std::vector<double> confs;          // groups[i].confidence
-    // ceil(|groups| / 64) blocks of n words each.
+    // At least ceil(|groups| / 64) blocks of n words each; slots past the
+    // last group are clear. Grown on demand, or sized once up front.
     std::vector<std::uint64_t> row_groups;
     // IsDominated scratch: the query's row ids.
     std::vector<std::uint32_t> query_rows;
@@ -181,6 +184,21 @@ class FarmerMiner {
 
     // Empties the store for the next task, keeping every capacity.
     void Clear();
+  };
+
+  // Read-only view of a GroupStore's index: the data of row_groups,
+  // counts and confs. Taken from a store whose vectors no longer
+  // reallocate, it stays valid while the store keeps appending, so worker
+  // threads can query it without touching the vectors themselves.
+  struct IndexView {
+    const std::uint64_t* row_groups;
+    const std::uint32_t* counts;
+    const double* confs;
+
+    explicit IndexView(const GroupStore& store)
+        : row_groups(store.row_groups.data()),
+          counts(store.counts.data()),
+          confs(store.confs.data()) {}
   };
 
   using TaskId = farmer::TaskId;
@@ -279,37 +297,45 @@ class FarmerMiner {
                         std::size_t supp, std::size_t supn);
 
   // The dominance half of the IRG comparison (Definition 2.2): true when
-  // `store` holds a group whose row set properly contains `rows` with
-  // confidence >= `conf`. Uses only store.query_rows as scratch.
-  bool IsDominated(GroupStore& store, const Bitset& rows, double conf) const;
+  // one of the first `limit` indexed groups has a row set properly
+  // containing `rows` with confidence >= `conf`. Uses *query as scratch,
+  // so several threads may query one index at once.
+  bool IsDominated(const IndexView& index, std::size_t limit,
+                   const Bitset& rows, double conf,
+                   std::vector<std::uint32_t>* query) const;
 
   // Appends `g` to the store and indexes it. Assumes dominance and
   // thresholds were already checked.
   void InsertGroup(GroupStore& store, RuleGroup g) const;
 
-  // Replays one worker-local group against the global store during the
-  // deterministic merge: global exact-mode dedup, dominance re-check,
-  // insert. Mirrors the tail of MaybeInsertGroup.
-  void MergeGroup(GroupStore& store, RuleGroup g) const;
-
-  // The deterministic merge shared by RunSearch and FinalizeFarm: replays
-  // every segment's groups in id order through MergeGroup, which
-  // reproduces the sequential insertion stream exactly.
-  GroupStore MergeSegments(std::vector<Segment> segments) const;
+  // The deterministic merge shared by RunSearch and FinalizeFarm. Its
+  // result equals replaying every segment's groups in id order through
+  // the sequential dedup -> dominance -> insert path, but it needs no
+  // replay: a candidate survives iff no earlier candidate dominates it
+  // (see the .cc comment). The control thread dedups and indexes the
+  // candidates segment by segment, and `pool` (inline when null) checks
+  // each completed chunk of them against the lower indices meanwhile.
+  std::vector<RuleGroup> MergeSegments(std::vector<Segment> segments,
+                                       ThreadPool* pool) const;
 
   // True when all measure thresholds hold for a rule with the given exact
   // counts (x = supp + supn, y = supp).
   bool PassesThresholds(std::size_t supp, std::size_t supn) const;
 
-  // verify_invariants: fatal-checks the store's structural invariants —
-  // every group's counts/confidence agree with its row set, the
-  // row→group bitmap holds each group's bit on exactly its rows (and
-  // counts/confs mirror the group), all row sets are distinct closed
-  // patterns, and (unless report_all_rule_groups) no stored group is
+  // verify_invariants: fatal-checks the store's index — the row→group
+  // bitmap holds each group's bit on exactly its rows, every slot past
+  // the last group is clear, and counts/confs mirror the groups. Runs
+  // after the sequential search and, on the merge's candidate index,
+  // after every merged segment. O(groups · rows).
+  void ValidateIndex(const GroupStore& store) const;
+
+  // verify_invariants: fatal-checks the final groups — every group's
+  // counts/confidence agree with its row set, all row sets are distinct
+  // closed patterns, and (unless report_all_rule_groups) no group is
   // dominated by another (Definition 2.2 soundness, checked pairwise
-  // without the bitmap). Runs after the sequential search and after every
-  // parallel segment merge. O(groups²) bitset work.
-  void ValidateStore(const GroupStore& store) const;
+  // without the bitmap). Runs after the sequential search and after the
+  // merge. O(groups²) bitset work.
+  void ValidateGroups(const std::vector<RuleGroup>& groups) const;
 
   // verify_invariants: fatal-checks that each group's stored antecedent
   // is the closed upper bound of its row set, I(rows) over the permuted
@@ -375,11 +401,11 @@ class FarmerMiner {
   void RunTask(ParallelShared& shared, const SubtreeTask& task,
                std::size_t worker_id);
 
-  // Runs the search from the root: sequential recursion for
-  // num_threads <= 1; otherwise a root task on the work-stealing pool
-  // with adaptive subtree splitting, followed by the deterministic
-  // id-ordered merge. Stats are accumulated into *stats.
-  GroupStore RunSearch(MinerStats* stats);
+  // Runs the search from the root: sequential recursion without a pool;
+  // otherwise a root task on `pool` with adaptive subtree splitting,
+  // followed by the deterministic id-ordered merge on the same pool.
+  // Stats are accumulated into *stats.
+  std::vector<RuleGroup> RunSearch(MinerStats* stats, ThreadPool* pool);
 
   // Applies options_.simd_level (fatal on an unknown level). Mine() and
   // the farm entry points all route through this so a worker process
@@ -387,10 +413,23 @@ class FarmerMiner {
   void ApplySimdOverride() const;
 
   // The shared tail of Mine() and FinalizeFarm(): takes the merged
-  // store (plus stats_ already populated), and produces the final
+  // groups (plus stats_ already populated), and produces the final
   // result — validation, top-k cut, MineLB, row-id remap back to the
-  // caller's ids, metrics export.
-  FarmerResult FinalizeResult(GroupStore store);
+  // caller's ids, metrics export. MineLB and the remap run on `pool`
+  // when it is set.
+  FarmerResult FinalizeResult(std::vector<RuleGroup> groups,
+                              ThreadPool* pool);
+
+  // MineLB for every group (still in permuted row ids), in chunks on
+  // `pool` or inline. Each worker owns its scratch and its Deadline
+  // copy; once the deadline fires, every group not finished is flagged
+  // lower_bounds_truncated and stats_.timed_out is set.
+  void MineGroupLowerBounds(std::vector<RuleGroup>& groups,
+                            ThreadPool* pool);
+
+  // Rewrites every group's row set from permuted to the caller's row
+  // ids, in place, in chunks on `pool` or inline.
+  void RemapRows(std::vector<RuleGroup>& groups, ThreadPool* pool) const;
 
   // Root-visit state backing the farm decomposition (PlanFarm /
   // MineFarmLease derive every lease from this snapshot).

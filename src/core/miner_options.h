@@ -139,6 +139,7 @@ struct MinerStats {
   // Parallel-scheduler counters (0 in sequential runs). Unlike the tree
   // statistics above they depend on runtime timing, not on the input.
   std::size_t tasks_spawned = 0;        // Subtree tasks created.
+  // Steals count the whole pool of a mine: search, merge, MineLB, remap.
   std::size_t task_steals = 0;          // Successful deque steals.
   std::size_t tasks_stolen = 0;         // Tasks transferred by steals.
   double mine_seconds = 0.0;            // Upper-bound search time.

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/bitset.h"
+#include "util/check.h"
 #include "util/crc32.h"
 
 namespace farmer {
@@ -19,27 +20,48 @@ constexpr std::size_t kHeaderBytes = 16;
 constexpr std::uint32_t kTagMeta = 0x4154454Du;    // "META" little-endian.
 constexpr std::uint32_t kTagGroups = 0x53505247u;  // "GRPS" little-endian.
 constexpr std::size_t kMetaPayloadBytes = 70;
+// A section's tag, payload size and CRC around its payload.
+constexpr std::size_t kSectionOverheadBytes = 4 + 8 + 4;
 // Smallest possible group encoding: stats + flags + three zero counts.
 constexpr std::size_t kMinGroupBytes = 8 + 8 + 8 + 8 + 1 + 4 + 4 + 4;
+
+// The encoder appends to one string its caller reserved to the exact
+// snapshot size, so no append reallocates.
+
+template <typename T>
+void AppendLittleEndian(std::string* out, T v) {
+  char bytes[sizeof(T)];
+  for (std::size_t byte = 0; byte < sizeof(T); ++byte) {
+    bytes[byte] = static_cast<char>((v >> (byte * 8)) & 0xFFu);
+  }
+  out->append(bytes, sizeof(T));
+}
 
 void AppendU8(std::string* out, std::uint8_t v) {
   out->push_back(static_cast<char>(v));
 }
 
 void AppendU32(std::string* out, std::uint32_t v) {
-  for (int byte = 0; byte < 4; ++byte) {
-    out->push_back(static_cast<char>((v >> (byte * 8)) & 0xFFu));
-  }
+  AppendLittleEndian(out, v);
 }
 
 void AppendU64(std::string* out, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    out->push_back(static_cast<char>((v >> (byte * 8)) & 0xFFu));
-  }
+  AppendLittleEndian(out, v);
 }
 
 void AppendF64(std::string* out, double v) {
   AppendU64(out, std::bit_cast<std::uint64_t>(v));
+}
+
+/// Appends `count` integers little-endian: one bulk copy on a
+/// little-endian host, else one integer at a time.
+template <typename T>
+void AppendArray(std::string* out, const T* values, std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    out->append(reinterpret_cast<const char*>(values), count * sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < count; ++i) AppendLittleEndian(out, values[i]);
+  }
 }
 
 /// Bounds-checked little-endian cursor over the input buffer. Every Read
@@ -106,14 +128,20 @@ Status Err(const std::string& name, const std::string& msg) {
   return Status::InvalidArgument(name + ": " + msg);
 }
 
-/// Compact row-set encoding: the bitset's 64-bit words with trailing
-/// zero words trimmed, prefixed by the surviving word count.
-void AppendRowSet(std::string* out, const Bitset& rows) {
+/// The row-set encoding's word count: the bitset's 64-bit words with
+/// trailing zero words trimmed.
+std::size_t TrimmedWordCount(const Bitset& rows) {
   const Bitset::WordVector& words = rows.words();
   std::size_t count = words.size();
   while (count > 0 && words[count - 1] == 0) --count;
+  return count;
+}
+
+/// Compact row-set encoding: the trimmed words, prefixed by their count.
+void AppendRowSet(std::string* out, const Bitset& rows) {
+  const std::size_t count = TrimmedWordCount(rows);
   AppendU32(out, static_cast<std::uint32_t>(count));
-  for (std::size_t w = 0; w < count; ++w) AppendU64(out, words[w]);
+  AppendArray(out, rows.words().data(), count);
 }
 
 bool ParseRowSet(ByteReader* reader, std::size_t num_rows, Bitset* rows,
@@ -160,7 +188,7 @@ bool ParseRowSet(ByteReader* reader, std::size_t num_rows, Bitset* rows,
 
 void AppendItems(std::string* out, const ItemVector& items) {
   AppendU32(out, static_cast<std::uint32_t>(items.size()));
-  for (ItemId i : items) AppendU32(out, i);
+  AppendArray(out, items.data(), items.size());
 }
 
 bool ParseItems(ByteReader* reader, std::uint64_t num_items,
@@ -197,21 +225,18 @@ bool ParseItems(ByteReader* reader, std::uint64_t num_items,
   return true;
 }
 
-std::string SerializeMeta(const RuleGroupSnapshot& snapshot) {
-  std::string out;
-  out.reserve(kMetaPayloadBytes);
-  AppendU64(&out, snapshot.num_rows);
-  AppendU64(&out, snapshot.fingerprint.dataset_hash);
-  AppendU64(&out, snapshot.fingerprint.num_rows);
-  AppendU64(&out, snapshot.fingerprint.num_items);
-  AppendU32(&out, snapshot.params.consequent);
-  AppendU64(&out, snapshot.params.min_support);
-  AppendF64(&out, snapshot.params.min_confidence);
-  AppendF64(&out, snapshot.params.min_chi_square);
-  AppendU64(&out, snapshot.params.top_k);
-  AppendU8(&out, snapshot.params.mine_lower_bounds ? 1 : 0);
-  AppendU8(&out, snapshot.params.report_all_rule_groups ? 1 : 0);
-  return out;
+void AppendMeta(std::string* out, const RuleGroupSnapshot& snapshot) {
+  AppendU64(out, snapshot.num_rows);
+  AppendU64(out, snapshot.fingerprint.dataset_hash);
+  AppendU64(out, snapshot.fingerprint.num_rows);
+  AppendU64(out, snapshot.fingerprint.num_items);
+  AppendU32(out, snapshot.params.consequent);
+  AppendU64(out, snapshot.params.min_support);
+  AppendF64(out, snapshot.params.min_confidence);
+  AppendF64(out, snapshot.params.min_chi_square);
+  AppendU64(out, snapshot.params.top_k);
+  AppendU8(out, snapshot.params.mine_lower_bounds ? 1 : 0);
+  AppendU8(out, snapshot.params.report_all_rule_groups ? 1 : 0);
 }
 
 Status ParseMeta(std::string_view payload, const std::string& name,
@@ -270,21 +295,30 @@ Status ParseMeta(std::string_view payload, const std::string& name,
   return Status::Ok();
 }
 
-std::string SerializeGroups(const RuleGroupSnapshot& snapshot) {
-  std::string out;
-  AppendU64(&out, snapshot.groups.size());
+/// The size AppendGroups will append.
+std::size_t GroupsPayloadBytes(const RuleGroupSnapshot& snapshot) {
+  std::size_t bytes = 8;
   for (const RuleGroup& g : snapshot.groups) {
-    AppendU64(&out, g.support_pos);
-    AppendU64(&out, g.support_neg);
-    AppendF64(&out, g.confidence);
-    AppendF64(&out, g.chi_square);
-    AppendU8(&out, g.lower_bounds_truncated ? 1 : 0);
-    AppendItems(&out, g.antecedent);
-    AppendRowSet(&out, g.rows);
-    AppendU32(&out, static_cast<std::uint32_t>(g.lower_bounds.size()));
-    for (const ItemVector& lb : g.lower_bounds) AppendItems(&out, lb);
+    bytes += kMinGroupBytes + 4 * g.antecedent.size() +
+             8 * TrimmedWordCount(g.rows);
+    for (const ItemVector& lb : g.lower_bounds) bytes += 4 + 4 * lb.size();
   }
-  return out;
+  return bytes;
+}
+
+void AppendGroups(std::string* out, const RuleGroupSnapshot& snapshot) {
+  AppendU64(out, snapshot.groups.size());
+  for (const RuleGroup& g : snapshot.groups) {
+    AppendU64(out, g.support_pos);
+    AppendU64(out, g.support_neg);
+    AppendF64(out, g.confidence);
+    AppendF64(out, g.chi_square);
+    AppendU8(out, g.lower_bounds_truncated ? 1 : 0);
+    AppendItems(out, g.antecedent);
+    AppendRowSet(out, g.rows);
+    AppendU32(out, static_cast<std::uint32_t>(g.lower_bounds.size()));
+    for (const ItemVector& lb : g.lower_bounds) AppendItems(out, lb);
+  }
 }
 
 Status ParseGroups(std::string_view payload, const std::string& name,
@@ -357,12 +391,19 @@ Status ParseGroups(std::string_view payload, const std::string& name,
   return Status::Ok();
 }
 
+/// Appends one section whose payload `append_payload` writes: exactly
+/// `payload_bytes` of it.
+template <typename AppendPayload>
 void AppendSection(std::string* out, std::uint32_t tag,
-                   const std::string& payload) {
+                   std::size_t payload_bytes,
+                   const AppendPayload& append_payload) {
   AppendU32(out, tag);
-  AppendU64(out, payload.size());
-  out->append(payload);
-  AppendU32(out, Crc32(payload.data(), payload.size()));
+  AppendU64(out, payload_bytes);
+  const std::size_t start = out->size();
+  append_payload();
+  FARMER_CHECK(out->size() - start == payload_bytes)
+      << "section payload size disagrees with its header";
+  AppendU32(out, Crc32(out->data() + start, payload_bytes));
 }
 
 }  // namespace
@@ -389,13 +430,18 @@ SnapshotFingerprint SnapshotFingerprint::FromDataset(
 }
 
 std::string SerializeSnapshot(const RuleGroupSnapshot& snapshot) {
+  const std::size_t groups_bytes = GroupsPayloadBytes(snapshot);
   std::string out;
+  out.reserve(kHeaderBytes + 2 * kSectionOverheadBytes + kMetaPayloadBytes +
+              groups_bytes);
   out.append(kMagic, sizeof(kMagic));
   AppendU32(&out, kSnapshotVersion);
   AppendU32(&out, 2);  // META + GRPS.
   AppendU32(&out, Crc32(out.data(), out.size()));
-  AppendSection(&out, kTagMeta, SerializeMeta(snapshot));
-  AppendSection(&out, kTagGroups, SerializeGroups(snapshot));
+  AppendSection(&out, kTagMeta, kMetaPayloadBytes,
+                [&] { AppendMeta(&out, snapshot); });
+  AppendSection(&out, kTagGroups, groups_bytes,
+                [&] { AppendGroups(&out, snapshot); });
   return out;
 }
 

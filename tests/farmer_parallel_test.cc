@@ -393,6 +393,135 @@ TEST(FarmerParallelTest, MidRunDeadlinePropagatesThroughStolenTasks) {
   }
 }
 
+// Checks a 4-thread mine and a farm mine with a 4-thread coordinator
+// against a 1-thread mine: the merge, MineLB and the remap run on the
+// mine's pool in both.
+void ExpectPoolPathsMatchSequential(const BinaryDataset& ds,
+                                    MinerOptions opts) {
+  opts.num_threads = 1;
+  const FarmerResult sequential = MineFarmer(ds, opts);
+  opts.num_threads = 4;
+  {
+    SCOPED_TRACE("4 threads");
+    const FarmerResult parallel = MineFarmer(ds, opts);
+    EXPECT_FALSE(parallel.stats.timed_out);
+    ExpectIdenticalResults(sequential, parallel);
+  }
+  SCOPED_TRACE("farm, 4-thread coordinator");
+  ExpectIdenticalResults(sequential, MineViaFarm(ds, opts));
+}
+
+TEST(FarmerParallelTest, PoolMergeMatchesSequentialOnLargeStores) {
+  // Enough candidates reach the merge for several 128-candidate chunks
+  // to be checked on the pool while later segments are still indexed.
+  struct Case {
+    const char* name;
+    std::size_t min_support;
+    double min_confidence;
+  };
+  for (const Case& c : {Case{"BC", 5, 0.8}, Case{"PC", 4, 0.8}}) {
+    SCOPED_TRACE(c.name);
+    const BinaryDataset ds = SmallPaperDataset(c.name);
+    MinerOptions opts;
+    opts.min_support = c.min_support;
+    opts.min_confidence = c.min_confidence;
+    opts.mine_lower_bounds = false;
+    {
+      SCOPED_TRACE("dominance");
+      opts.num_threads = 1;
+      ASSERT_GT(MineFarmer(ds, opts).groups.size(), 256u);
+      ExpectPoolPathsMatchSequential(ds, opts);
+    }
+    {
+      SCOPED_TRACE("top-k");
+      MinerOptions topk = opts;
+      topk.top_k = 40;
+      ExpectPoolPathsMatchSequential(ds, topk);
+    }
+    {
+      SCOPED_TRACE("report-all");
+      MinerOptions all = opts;
+      all.report_all_rule_groups = true;
+      ExpectPoolPathsMatchSequential(ds, all);
+    }
+    {
+      SCOPED_TRACE("exact mode");
+      MinerOptions exact = opts;
+      exact.enable_pruning2 = false;
+      ExpectPoolPathsMatchSequential(ds, exact);
+    }
+  }
+}
+
+TEST(FarmerParallelTest, PoolMineLbMatchesSequential) {
+  // MineLB in chunks on the pool, every bound proven minimal by the
+  // verify_invariants oracle: bounds and truncation flags must match the
+  // 1-thread mine group for group. A small candidate cap truncates some.
+  const BinaryDataset ds = SmallPaperDataset("BC");
+  MinerOptions opts;
+  opts.min_support = 6;
+  opts.min_confidence = 0.8;
+  opts.verify_invariants = true;
+  ExpectPoolPathsMatchSequential(ds, opts);
+  SCOPED_TRACE("candidate cap");
+  opts.max_lower_bound_candidates = 2;
+  opts.num_threads = 1;
+  std::size_t truncated = 0;
+  for (const RuleGroup& g : MineFarmer(ds, opts).groups) {
+    truncated += g.lower_bounds_truncated ? 1 : 0;
+  }
+  EXPECT_GT(truncated, 0u);
+  ExpectPoolPathsMatchSequential(ds, opts);
+}
+
+TEST(FarmerParallelTest, PoolMineLbWithExpiredDeadlineFlagsEveryGroup) {
+  // A deadline already past when the mine starts but never sampled by the
+  // search: each task reads the clock only every 256 nodes, and this tree
+  // is smaller. MineLB samples it before every group, so no bound is
+  // computed: every group is flagged truncated and the run timed out.
+  // Report-all mode keeps enough groups for several MineLB chunks.
+  const BinaryDataset ds = RandomDataset(10, 22, 0.35, 77);
+  MinerOptions opts;
+  opts.min_support = 1;
+  opts.report_all_rule_groups = true;
+  opts.num_threads = 1;
+  const FarmerResult full = MineFarmer(ds, opts);
+  ASSERT_LT(full.stats.nodes_visited, 256u);
+  ASSERT_GT(full.groups.size(), 32u);  // More than one MineLB chunk.
+
+  opts.num_threads = 4;
+  opts.deadline = Deadline::After(1e-9);
+  Stopwatch past;
+  while (past.ElapsedSeconds() < 1e-6) {
+  }
+  const FarmerResult r = MineFarmer(ds, opts);
+  EXPECT_TRUE(r.stats.timed_out);
+  ASSERT_EQ(r.groups.size(), full.groups.size());
+  for (const RuleGroup& g : r.groups) {
+    EXPECT_TRUE(g.lower_bounds_truncated);
+    EXPECT_TRUE(g.lower_bounds.empty());
+  }
+}
+
+TEST(FarmerParallelTest, PoolPathsWithDistantDeadline) {
+  // A deadline that never fires still has every worker sample its own
+  // copy (the clock reads update the copy's state): results must match
+  // the run without one.
+  const BinaryDataset ds = SmallPaperDataset("BC");
+  MinerOptions opts;
+  opts.min_support = 6;
+  opts.min_confidence = 0.8;
+  opts.num_threads = 1;
+  const FarmerResult want = MineFarmer(ds, opts);
+  opts.deadline = Deadline::After(3600.0);
+  opts.num_threads = 4;
+  const FarmerResult got = MineFarmer(ds, opts);
+  EXPECT_FALSE(got.stats.timed_out);
+  ExpectIdenticalResults(want, got);
+  SCOPED_TRACE("farm, 4-thread coordinator");
+  ExpectIdenticalResults(want, MineViaFarm(ds, opts));
+}
+
 TEST(FarmerParallelTest, MoreThreadsThanSubtrees) {
   // Thread counts far beyond the available subtree tasks must clamp,
   // not hang or crash.

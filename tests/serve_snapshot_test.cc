@@ -1,5 +1,7 @@
 #include "serve/snapshot.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -101,6 +103,66 @@ TEST(SnapshotTest, RoundTripsTruncatedLowerBoundFlagAndEdgeValues) {
   RuleGroupSnapshot loaded;
   ASSERT_TRUE(LoadSnapshotFromBuffer(buffer, "test", &loaded).ok());
   ExpectEqualSnapshots(snapshot, loaded);
+}
+
+// Appends `v` as `bytes` little-endian bytes, one at a time.
+void PutLe(std::string* out, std::uint64_t v, int bytes) {
+  for (int b = 0; b < bytes; ++b) {
+    out->push_back(static_cast<char>((v >> (8 * b)) & 0xFF));
+  }
+}
+
+TEST(SnapshotTest, EncodesGroupsByteForByte) {
+  // The GRPS payload of one group, spelled out field by field: item lists
+  // as u32s, the row set as its words with the trailing zero word
+  // trimmed, every integer little-endian.
+  RuleGroupSnapshot snapshot;
+  snapshot.num_rows = 200;  // Four words; rows stop in the third.
+  snapshot.fingerprint.num_rows = 200;
+  snapshot.fingerprint.num_items = 0x20000;
+  RuleGroup g;
+  g.antecedent = {3, 0x104, 0x1FFFF};
+  g.rows = Bitset(200);
+  for (std::size_t r : {0, 63, 64, 130}) g.rows.Set(r);
+  g.support_pos = 3;
+  g.support_neg = 1;
+  g.confidence = 0.75;
+  g.chi_square = 2.5;
+  g.lower_bounds = {{3}, {0x104, 0x1FFFF}};
+  snapshot.groups.push_back(g);
+
+  std::string payload;
+  PutLe(&payload, 1, 8);  // Group count.
+  PutLe(&payload, 3, 8);
+  PutLe(&payload, 1, 8);
+  PutLe(&payload, std::bit_cast<std::uint64_t>(0.75), 8);
+  PutLe(&payload, std::bit_cast<std::uint64_t>(2.5), 8);
+  PutLe(&payload, 0, 1);  // Not truncated.
+  PutLe(&payload, 3, 4);
+  for (std::uint32_t item : {3u, 0x104u, 0x1FFFFu}) PutLe(&payload, item, 4);
+  PutLe(&payload, 3, 4);  // Row words.
+  PutLe(&payload, 0x8000000000000001ull, 8);
+  PutLe(&payload, 1, 8);
+  PutLe(&payload, 4, 8);
+  PutLe(&payload, 2, 4);  // Lower bounds.
+  PutLe(&payload, 1, 4);
+  PutLe(&payload, 3, 4);
+  PutLe(&payload, 2, 4);
+  PutLe(&payload, 0x104, 4);
+  PutLe(&payload, 0x1FFFF, 4);
+
+  const std::string bytes = SerializeSnapshot(snapshot);
+  // Header (16 bytes), then META: tag, size, 70 payload bytes, CRC.
+  const std::size_t grps = 16 + 4 + 8 + 70 + 4;
+  ASSERT_EQ(bytes.size(), grps + 4 + 8 + payload.size() + 4);
+  EXPECT_EQ(bytes.substr(grps, 4), "GRPS");
+  std::string size_field;
+  PutLe(&size_field, payload.size(), 8);
+  EXPECT_EQ(bytes.substr(grps + 4, 8), size_field);
+  EXPECT_EQ(bytes.substr(grps + 12, payload.size()), payload);
+  std::string crc_field;
+  PutLe(&crc_field, Crc32(payload.data(), payload.size()), 4);
+  EXPECT_EQ(bytes.substr(grps + 12 + payload.size()), crc_field);
 }
 
 TEST(SnapshotTest, SerializeIsDeterministic) {

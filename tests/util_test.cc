@@ -1,9 +1,12 @@
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -115,6 +118,64 @@ TEST(StatusTest, CodesAndMessages) {
   EXPECT_EQ(s.ToString(), "InvalidArgument: bad row");
   EXPECT_TRUE(Status::IoError("x").IsIoError());
   EXPECT_TRUE(Status::NotFound("y").IsNotFound());
+}
+
+// The textbook bit-at-a-time CRC-32 (reflected, polynomial 0xEDB88320):
+// the reference the table-driven Crc32 must reproduce.
+std::uint32_t BitwiseCrc32(const unsigned char* data, std::size_t size,
+                           std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesTheStandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..1024 cover the 8-byte steps and every tail length; the
+  // eight start offsets cover every alignment of the input.
+  Rng rng(2004);
+  std::vector<unsigned char> buffer(1024 + 8);
+  for (unsigned char& b : buffer) {
+    b = static_cast<unsigned char>(rng.NextBelow(256));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t size = 0; size <= 1024; ++size) {
+      const unsigned char* data = buffer.data() + offset;
+      ASSERT_EQ(Crc32(data, size), BitwiseCrc32(data, size, 0))
+          << "offset " << offset << ", size " << size;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedsEqualOneChecksum) {
+  // Extending a running checksum buffer by buffer (the seed argument)
+  // must equal one pass over the concatenation, at every split point.
+  Rng rng(7);
+  std::vector<unsigned char> buffer(300);
+  for (unsigned char& b : buffer) {
+    b = static_cast<unsigned char>(rng.NextBelow(256));
+  }
+  const std::uint32_t whole = Crc32(buffer.data(), buffer.size());
+  ASSERT_EQ(whole, BitwiseCrc32(buffer.data(), buffer.size(), 0));
+  for (std::size_t split = 0; split <= buffer.size(); ++split) {
+    const std::uint32_t head = Crc32(buffer.data(), split);
+    EXPECT_EQ(Crc32(buffer.data() + split, buffer.size() - split, head),
+              whole)
+        << "split " << split;
+    EXPECT_EQ(BitwiseCrc32(buffer.data() + split, buffer.size() - split,
+                           head),
+              whole)
+        << "split " << split;
+  }
 }
 
 }  // namespace
