@@ -1,13 +1,8 @@
 #include "farm/coordinator.h"
 
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
-#include <cstring>
 #include <string_view>
 #include <utility>
 
@@ -22,14 +17,14 @@ namespace farm {
 
 namespace {
 
-// epoll_wait timeout: how often the loop scans for heartbeat expiry and
-// notices Stop() without an eventfd wake (same cadence as the serve
-// shards).
-constexpr int kTickMs = 50;
-constexpr int kMaxEpollEvents = 64;
-constexpr std::size_t kReadChunk = 65536;
-// An HTTP scrape request larger than this is dropped.
-constexpr std::size_t kMaxHttpRequest = 1 << 16;
+EventLoopMetrics LoopMetrics(obs::MetricsRegistry* m) {
+  EventLoopMetrics loop;
+  if (m != nullptr) {
+    loop.bytes_in = m->GetCounter("farm.bytes_in");
+    loop.bytes_out = m->GetCounter("farm.bytes_out");
+  }
+  return loop;
+}
 
 }  // namespace
 
@@ -41,7 +36,17 @@ Coordinator::Coordinator(const BinaryDataset& dataset,
       options_(coordinator_options),
       miner_(dataset, options),
       fingerprint_(serve::SnapshotFingerprint::FromDataset(dataset)),
-      params_(serve::SnapshotParams::FromMinerOptions(options)) {
+      params_(serve::SnapshotParams::FromMinerOptions(options)),
+      loop_(Loop::Handler{nullptr,
+                          [this](Conn& conn) { return HandleData(conn); },
+                          [this] {
+                            TickTimeouts();
+                            PublishGauges();
+                          },
+                          [this](Conn& conn) {
+                            RevokeHeld(conn, /*notify=*/false);
+                          }},
+            LoopMetrics(coordinator_options.metrics)) {
   if (options_.heartbeat_timeout_s <= 0) options_.heartbeat_timeout_s = 10.0;
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry* m = options_.metrics;
@@ -54,8 +59,7 @@ Coordinator::Coordinator(const BinaryDataset& dataset,
     metrics_.results = m->GetCounter("farm.results");
     metrics_.duplicate_results = m->GetCounter("farm.duplicate_results");
     metrics_.workers_rejected = m->GetCounter("farm.workers_rejected");
-    metrics_.bytes_in = m->GetCounter("farm.bytes_in");
-    metrics_.bytes_out = m->GetCounter("farm.bytes_out");
+    scrape_render_ = [m] { return obs::RenderPrometheus(m->Snapshot()); };
   }
 }
 
@@ -82,35 +86,16 @@ Status Coordinator::Start() {
   const Status listening =
       net::OpenListener(options_.host, options_.port, &listen_fd_, &port_);
   if (!listening.ok()) return listening;
-  if (!net::SetNonBlocking(listen_fd_)) {
+  const Status running =
+      net::SetNonBlocking(listen_fd_)
+          ? loop_.Start(listen_fd_)
+          : Status::IoError("fcntl(listener): " + net::ErrnoString(errno));
+  if (!running.ok()) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-    return Status::IoError("fcntl(listener): " +
-                           net::ErrnoString(errno));
+    return running;
   }
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
-    const std::string err = net::ErrnoString(errno);
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-    if (wake_fd_ >= 0) ::close(wake_fd_);
-    ::close(listen_fd_);
-    listen_fd_ = epoll_fd_ = wake_fd_ = -1;
-    return Status::IoError("epoll/eventfd: " + err);
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  FARMER_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) == 0)
-      << "epoll_ctl(listener): " << net::ErrnoString(errno);
-  ev.data.fd = wake_fd_;
-  FARMER_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) == 0)
-      << "epoll_ctl(eventfd): " << net::ErrnoString(errno);
-
   started_.store(true, std::memory_order_release);
-  stopping_.store(false, std::memory_order_release);
-  loop_thread_ = std::thread([this] { Loop(); });
   return Status::Ok();
 }
 
@@ -169,164 +154,39 @@ FarmerResult Coordinator::Finalize() {
 
 void Coordinator::Stop() {
   if (!started_.load(std::memory_order_acquire)) return;
-  stopping_.store(true, std::memory_order_release);
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n =
-      ::write(wake_fd_, &one, sizeof(one));
-  if (loop_thread_.joinable()) loop_thread_.join();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  listen_fd_ = epoll_fd_ = wake_fd_ = -1;
+  loop_.Stop();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   started_.store(false, std::memory_order_release);
 }
 
 // farmer-lint: begin(event-loop)
 // Everything between these markers runs on the coordinator's event-loop
-// thread and must never block: the sockets are non-blocking, partial
-// sends park in per-connection write buffers behind EPOLLOUT, and the
-// merge (Finalize) happens on the caller thread after the loop exits.
+// thread (util/event_loop.cc) and must never block: replies are queued
+// on the connection and the loop sends them, and the merge (Finalize)
+// happens on the caller thread after the loop exits.
 
-void Coordinator::Loop() {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  std::array<epoll_event, kMaxEpollEvents> events;
-  while (true) {
-    const int n = ::epoll_wait(epoll_fd_, events.data(), kMaxEpollEvents,
-                               kTickMs);
-    if (stopping_.load(std::memory_order_acquire)) break;
-    for (int i = 0; i < n; ++i) {
-      const epoll_event& ev = events[static_cast<std::size_t>(i)];
-      const int fd = ev.data.fd;
-      if (fd == wake_fd_) {
-        std::uint64_t junk;
-        while (::read(wake_fd_, &junk, sizeof(junk)) > 0) {
-        }
-        continue;
-      }
-      if (fd == listen_fd_) {
-        AcceptReady();
-        continue;
-      }
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;
-      Conn& conn = it->second;
-      bool alive = (ev.events & (EPOLLERR | EPOLLHUP)) == 0;
-      if (alive && (ev.events & EPOLLOUT) != 0) alive = FlushConn(conn);
-      if (alive && (ev.events & EPOLLIN) != 0) alive = HandleReadable(conn);
-      if (!alive) CloseConn(fd);
-    }
-    TickTimeouts();
-    PublishGauges();
-  }
-  // Drain: one best-effort flush per connection, then close.
-  for (auto& entry : conns_) {
-    FlushConn(entry.second);
-    ::close(entry.second.fd);
-  }
-  conns_.clear();
-}
-
-void Coordinator::AcceptReady() {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN / transient failure: next wake retries.
-    if (!net::SetNonBlocking(fd)) {
-      ::close(fd);
-      continue;
-    }
-    net::SetTcpNoDelay(fd);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      continue;
-    }
-    Conn conn;
-    conn.fd = fd;
-    conns_.emplace(fd, std::move(conn));
-  }
-}
-
-bool Coordinator::HandleReadable(Conn& conn) {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  char chunk[kReadChunk];
-  bool peer_closed = false;
-  while (true) {
-    const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      conn.rbuf.append(chunk, static_cast<std::size_t>(n));
-      if (metrics_.bytes_in != nullptr) {
-        metrics_.bytes_in->Add(static_cast<std::uint64_t>(n));
-      }
-      continue;
-    }
-    if (n == 0) {
-      peer_closed = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    return false;
-  }
-
-  if (conn.state == ConnState::kPreamble) {
+bool Coordinator::HandleData(Conn& conn) {
+  Peer& peer = conn.state;
+  if (peer.mode == Peer::Mode::kPreamble) {
     switch (DetectFarmProtocol(conn.rbuf)) {
       case FarmDetect::kNeedMore:
-        return !peer_closed;
+        return true;
       case FarmDetect::kUnknown:
         return false;
       case FarmDetect::kFarm:
-        conn.state = ConnState::kFarm;
+        peer.mode = Peer::Mode::kFarm;
         conn.rbuf.erase(0, kFarmPreambleSize);
         break;
       case FarmDetect::kHttp:
-        conn.state = ConnState::kHttp;
+        peer.mode = Peer::Mode::kHttp;
         break;
     }
   }
-
-  if (conn.state == ConnState::kHttp) {
-    // Serve the scrape once the header block is complete; one response
-    // per connection, then close (HTTP/1.0 style, like the serve
-    // listener's scrape surface).
-    std::size_t header_end = conn.rbuf.find("\r\n\r\n");
-    if (header_end == std::string::npos) header_end = conn.rbuf.find("\n\n");
-    if (header_end == std::string::npos) {
-      if (conn.rbuf.size() > kMaxHttpRequest) return false;
-      return !peer_closed;
-    }
-    const std::size_t line_end = conn.rbuf.find_first_of("\r\n");
-    const std::string line = conn.rbuf.substr(0, line_end);
-    conn.rbuf.clear();
-    const std::size_t sp1 = line.find(' ');
-    const std::size_t sp2 =
-        sp1 == std::string::npos ? std::string::npos
-                                 : line.find(' ', sp1 + 1);
-    std::string path = sp2 == std::string::npos
-                           ? line.substr(sp1 + 1)
-                           : line.substr(sp1 + 1, sp2 - sp1 - 1);
-    const std::size_t query = path.find('?');
-    if (query != std::string::npos) path.resize(query);
-    std::string response;
-    if (path != "/metrics") {
-      response = net::HttpResponse("404 Not Found", "text/plain",
-                                   "try GET /metrics\n");
-    } else if (options_.metrics == nullptr) {
-      response = net::HttpResponse("503 Service Unavailable", "text/plain",
-                                   "no metrics registry attached\n");
-    } else {
-      response =
-          net::HttpResponse("200 OK", obs::kExpositionContentType,
-                            obs::RenderPrometheus(
-                                options_.metrics->Snapshot()));
-    }
-    conn.close_after_flush = true;
-    return SendFrame(conn, std::move(response));
+  if (peer.mode == Peer::Mode::kHttp) {
+    AnswerScrape(conn, scrape_render_);
+    return true;
   }
-
-  // Farm frames.
   while (true) {
     std::size_t consumed = 0;
     std::uint8_t opcode = 0;
@@ -335,19 +195,16 @@ bool Coordinator::HandleReadable(Conn& conn) {
     const wire::FrameExtract got =
         wire::ExtractFrame(conn.rbuf, kMaxFarmFramePayload, &consumed,
                            &opcode, &payload, &error);
-    if (got == wire::FrameExtract::kNeedMore) break;
+    if (got == wire::FrameExtract::kNeedMore) return true;
     if (got == wire::FrameExtract::kError) return false;
-    conn.since_frame.Restart();
+    peer.since_frame.Restart();
     if (!HandleFrame(conn, opcode, payload)) return false;
     conn.rbuf.erase(0, consumed);
   }
-  if (conn.close_after_flush && conn.wbuf.empty()) return false;
-  return !peer_closed;
 }
 
 bool Coordinator::HandleFrame(Conn& conn, std::uint8_t opcode,
                               std::string_view payload) {
-  FARMER_DCHECK_CALLED_ON(checker_);
   switch (static_cast<FarmOp>(opcode)) {
     case FarmOp::kHello:
       return HandleHello(conn, payload);
@@ -365,8 +222,7 @@ bool Coordinator::HandleFrame(Conn& conn, std::uint8_t opcode,
 }
 
 bool Coordinator::HandleHello(Conn& conn, std::string_view payload) {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  if (conn.hello_done) return false;
+  if (conn.state.hello_done) return false;
   HelloMsg hello;
   if (!DecodeHello(payload, &hello).ok()) return false;
 
@@ -382,70 +238,55 @@ bool Coordinator::HandleHello(Conn& conn, std::string_view payload) {
     ack.worker_id = next_worker_id_++;
   }
   if (ack.accepted) {
-    conn.hello_done = true;
-    conn.worker_id = ack.worker_id;
-    conn.name = std::move(hello.worker_name);
-    MutexLock lock(mutex_);
-    ++stats_.workers_seen;
+    conn.state.hello_done = true;
+    Count(nullptr, &Stats::workers_seen);
   } else {
-    conn.close_after_flush = true;
-    if (metrics_.workers_rejected != nullptr) {
-      metrics_.workers_rejected->Increment();
-    }
-    MutexLock lock(mutex_);
-    ++stats_.workers_rejected;
+    conn.want_close = true;
+    Count(metrics_.workers_rejected, &Stats::workers_rejected);
   }
-  return SendFrame(conn, EncodeHelloAck(ack));
+  conn.Queue(EncodeHelloAck(ack));
+  return true;
 }
 
 bool Coordinator::HandleLeaseRequest(Conn& conn) {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  if (!conn.hello_done) return false;
+  if (!conn.state.hello_done) return false;
   if (!pending_.empty()) {
     const std::uint32_t row = *pending_.begin();
     pending_.erase(pending_.begin());
     LeaseState& lease = leases_[row];
     lease.status = LeaseStatus::kLeased;
     lease.lease_id = next_lease_id_++;
-    lease.holder_fd = conn.fd;
-    conn.held.insert(row);
-    if (metrics_.leases_granted != nullptr) {
-      metrics_.leases_granted->Increment();
-    }
-    {
-      MutexLock lock(mutex_);
-      ++stats_.leases_granted;
-    }
+    conn.state.held.insert(row);
+    Count(metrics_.leases_granted, &Stats::leases_granted);
     LeaseGrantMsg grant;
     grant.lease_id = lease.lease_id;
     grant.root_row = row;
-    return SendFrame(conn, EncodeLeaseGrant(grant));
+    conn.Queue(EncodeLeaseGrant(grant));
+  } else if (done_count_ == lease_total_) {
+    conn.Queue(EncodeEmptyFrame(FarmOp::kDone));
+  } else {
+    // Everything is leased out but not merged yet; the worker backs off
+    // and asks again (it may yet inherit a re-leased row).
+    conn.Queue(EncodeEmptyFrame(FarmOp::kNoWork));
   }
-  if (done_count_ == lease_total_) {
-    return SendFrame(conn, EncodeEmptyFrame(FarmOp::kDone));
-  }
-  // Everything is leased out but not merged yet; the worker backs off
-  // and asks again (it may yet inherit a re-leased row).
-  return SendFrame(conn, EncodeEmptyFrame(FarmOp::kNoWork));
+  return true;
 }
 
 bool Coordinator::HandleHeartbeat(Conn& conn, std::string_view payload) {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  if (!conn.hello_done) return false;
+  if (!conn.state.hello_done) return false;
   HeartbeatMsg beat;
   if (!DecodeHeartbeat(payload, &beat).ok()) return false;
-  conn.last_nodes_per_sec = beat.nodes_per_sec;
+  conn.state.last_nodes_per_sec = beat.nodes_per_sec;
   return true;
 }
 
 bool Coordinator::HandleResult(Conn& conn, std::string_view payload) {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  if (!conn.hello_done) return false;
+  if (!conn.state.hello_done) return false;
   ResultMsg msg;
   if (!DecodeResult(payload, &msg).ok()) return false;
   auto it = leases_.find(msg.root_row);
   if (it == leases_.end()) return false;  // Never a lease: protocol error.
-  conn.held.erase(msg.root_row);
+  conn.state.held.erase(msg.root_row);
 
   ResultAckMsg ack;
   ack.lease_id = msg.lease_id;
@@ -453,12 +294,9 @@ bool Coordinator::HandleResult(Conn& conn, std::string_view payload) {
     // A re-leased row finished twice (or a duplicate retransmit). First
     // upload won; this one is discarded before it can reach the merge.
     ack.fresh = false;
-    if (metrics_.duplicate_results != nullptr) {
-      metrics_.duplicate_results->Increment();
-    }
-    MutexLock lock(mutex_);
-    ++stats_.duplicate_results;
-    return SendFrame(conn, EncodeResultAck(ack));
+    Count(metrics_.duplicate_results, &Stats::duplicate_results);
+    conn.Queue(EncodeResultAck(ack));
+    return true;
   }
 
   std::vector<MineSegment> segments;
@@ -467,7 +305,6 @@ bool Coordinator::HandleResult(Conn& conn, std::string_view payload) {
     return false;
   }
   it->second.status = LeaseStatus::kDone;
-  it->second.holder_fd = -1;
   pending_.erase(msg.root_row);
   ++done_count_;
   ack.fresh = true;
@@ -488,56 +325,18 @@ bool Coordinator::HandleResult(Conn& conn, std::string_view payload) {
                                                  std::memory_order_relaxed);
   }
   CheckCompletion();
-  return SendFrame(conn, EncodeResultAck(ack));
-}
-
-bool Coordinator::SendFrame(Conn& conn, std::string frame) {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  conn.wbuf.append(frame);
-  return FlushConn(conn);
-}
-
-bool Coordinator::FlushConn(Conn& conn) {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  std::size_t sent = 0;
-  while (sent < conn.wbuf.size()) {
-    const ssize_t n = ::send(conn.fd, conn.wbuf.data() + sent,
-                             conn.wbuf.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      if (metrics_.bytes_out != nullptr) {
-        metrics_.bytes_out->Add(static_cast<std::uint64_t>(n));
-      }
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    return false;
-  }
-  conn.wbuf.erase(0, sent);
-  const bool want_out = !conn.wbuf.empty();
-  epoll_event ev{};
-  ev.events = EPOLLIN | (want_out ? static_cast<std::uint32_t>(EPOLLOUT)
-                                  : 0u);
-  ev.data.fd = conn.fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
-  if (!want_out && conn.close_after_flush) return false;
+  conn.Queue(EncodeResultAck(ack));
   return true;
 }
 
-void Coordinator::CloseConn(int fd) {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  RevokeHeld(it->second, /*notify=*/false);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  conns_.erase(it);
+void Coordinator::Count(obs::Counter* metric, std::uint64_t Stats::*stat) {
+  if (metric != nullptr) metric->Increment();
+  MutexLock lock(mutex_);
+  ++(stats_.*stat);
 }
 
 void Coordinator::RevokeHeld(Conn& conn, bool notify) {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  for (const std::uint32_t row : conn.held) {
+  for (const std::uint32_t row : conn.state.held) {
     auto it = leases_.find(row);
     if (it == leases_.end() || it->second.status != LeaseStatus::kLeased) {
       continue;
@@ -547,49 +346,50 @@ void Coordinator::RevokeHeld(Conn& conn, bool notify) {
     // stats() and the row back in the pending set.
     const std::uint64_t stale_lease = it->second.lease_id;
     it->second.status = LeaseStatus::kPending;
-    it->second.holder_fd = -1;
     pending_.insert(row);
-    if (metrics_.releases != nullptr) metrics_.releases->Increment();
-    {
-      MutexLock lock(mutex_);
-      ++stats_.releases;
-    }
+    Count(metrics_.releases, &Stats::releases);
     if (notify) {
       RevokeMsg revoke;
       revoke.lease_id = stale_lease;
-      SendFrame(conn, EncodeRevoke(revoke));
+      conn.Queue(EncodeRevoke(revoke));
     }
   }
-  conn.held.clear();
+  conn.state.held.clear();
 }
 
 void Coordinator::TickTimeouts() {
-  FARMER_DCHECK_CALLED_ON(checker_);
-  for (auto& entry : conns_) {
-    Conn& conn = entry.second;
-    if (conn.held.empty()) continue;
-    if (conn.since_frame.ElapsedSeconds() <= options_.heartbeat_timeout_s) {
-      continue;
+  loop_.ForEach([this](Conn& conn) {
+    Peer& peer = conn.state;
+    if (peer.hello_done && peer.held.empty()) return;
+    if (peer.since_frame.ElapsedSeconds() <= options_.heartbeat_timeout_s) {
+      return;
+    }
+    if (!peer.hello_done) {
+      // Still no hello (or no complete HTTP request head) this long
+      // after connecting. The farm port has no admission bound, so a
+      // slow-loris socket must not hold its slot forever.
+      loop_.Close(conn);
+      return;
     }
     // Silent past the deadline: revoke (the worker, if alive, abandons
     // the lease on receipt) and hand the rows to the next requester.
     // The connection itself stays open — a stalled worker may recover
     // and take fresh leases.
     RevokeHeld(conn, /*notify=*/true);
-  }
+    loop_.Flush(conn);
+  });
 }
 
 void Coordinator::CheckCompletion() {
-  FARMER_DCHECK_CALLED_ON(checker_);
   if (done_count_ != lease_total_) return;
   // Tell every connected worker the farm is finished before the caller
   // tears the loop down; without the broadcast an idle worker only
   // sees its socket die and wastes its reconnect budget.
-  for (auto& entry : conns_) {
-    Conn& conn = entry.second;
-    if (!conn.hello_done || conn.close_after_flush) continue;
-    SendFrame(conn, EncodeEmptyFrame(FarmOp::kDone));
-  }
+  loop_.ForEach([this](Conn& conn) {
+    if (!conn.state.hello_done || conn.want_close) return;
+    conn.Queue(EncodeEmptyFrame(FarmOp::kDone));
+    loop_.Flush(conn);
+  });
   {
     MutexLock lock(mutex_);
     complete_ = true;
@@ -598,18 +398,16 @@ void Coordinator::CheckCompletion() {
 }
 
 void Coordinator::PublishGauges() {
-  FARMER_DCHECK_CALLED_ON(checker_);
   if (options_.metrics == nullptr) return;
   std::size_t workers = 0;
   double nodes_per_sec = 0.0;
   std::size_t outstanding = 0;
-  for (const auto& entry : conns_) {
-    const Conn& conn = entry.second;
-    if (!conn.hello_done) continue;
+  loop_.ForEach([&](Conn& conn) {
+    if (!conn.state.hello_done) return;
     ++workers;
-    nodes_per_sec += conn.last_nodes_per_sec;
-    outstanding += conn.held.size();
-  }
+    nodes_per_sec += conn.state.last_nodes_per_sec;
+    outstanding += conn.state.held.size();
+  });
   metrics_.active_workers->Set(static_cast<double>(workers));
   metrics_.nodes_per_sec->Set(nodes_per_sec);
   metrics_.leases_outstanding->Set(static_cast<double>(outstanding));

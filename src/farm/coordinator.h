@@ -4,12 +4,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <string_view>
-#include <memory>
 #include <set>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "core/farmer.h"
@@ -18,6 +17,7 @@
 #include "farm/protocol.h"
 #include "obs/metrics.h"
 #include "serve/snapshot.h"
+#include "util/event_loop.h"
 #include "util/status.h"
 #include "util/sync.h"
 #include "util/timer.h"
@@ -43,18 +43,20 @@ namespace farm {
 /// later ones are acked `fresh=0` and discarded — duplicates never
 /// reach the merge, which keeps it deterministic.
 ///
-/// Threading: Start() spawns one event-loop thread (epoll,
-/// level-triggered, same discipline as the serve shards) that owns all
-/// connection and lease state (ThreadChecker-confined). The caller
-/// thread talks to it only through the mutex-guarded completion state
-/// and stats. Finalize() runs on the caller thread after completion,
-/// when the loop can no longer append segments.
+/// Threading: Start() runs one util/event_loop.h EventLoop (the same
+/// loop the serve shards run on) that accepts on the farm port and owns
+/// all connection and lease state (thread-confined). The caller thread
+/// talks to it only through the mutex-guarded completion state and
+/// stats. Finalize() runs on the caller thread after completion, when
+/// the loop can no longer append segments.
 class Coordinator {
  public:
   struct Options {
     std::string host = "127.0.0.1";
     int port = 0;  // 0 = ephemeral; read the bound port with port().
-    /// A worker silent for longer than this has its leases revoked.
+    /// A worker silent for longer than this has its leases revoked. A
+    /// connection that has not finished its hello (or its HTTP request
+    /// head) this long after connecting is closed.
     double heartbeat_timeout_s = 10.0;
     /// Optional metrics sink: farm.* counters/gauges, plus the "GET "
     /// scrape surface on the listener.
@@ -106,50 +108,44 @@ class Coordinator {
   std::size_t lease_remaining() const;
 
  private:
-  enum class ConnState : std::uint8_t {
-    kPreamble,  // Waiting for "FMP1" / "GET ".
-    kFarm,      // Frames.
-    kHttp,      // Metrics scrape: flush the response, then close.
-  };
-
   enum class LeaseStatus : std::uint8_t { kPending, kLeased, kDone };
 
-  struct Conn {
-    int fd = -1;
-    ConnState state = ConnState::kPreamble;
+  /// The farm protocol's per-connection state; the EventLoop keeps the
+  /// transport half (buffers, out-queue).
+  struct Peer {
+    enum class Mode : std::uint8_t {
+      kPreamble,  // Waiting for "FMP1" / "GET ".
+      kFarm,      // Frames.
+      kHttp,      // Metrics scrape: flush the response, then close.
+    };
+
+    Mode mode = Mode::kPreamble;
     bool hello_done = false;
-    bool close_after_flush = false;
-    std::uint32_t worker_id = 0;
-    std::string name;
-    std::string rbuf;
-    std::string wbuf;
     /// Rows this connection currently holds a lease on.
     std::set<std::uint32_t> held;
-    /// Time since the last frame (any frame counts as liveness).
+    /// Time since the last frame (any frame counts as liveness), or
+    /// since connecting before the hello.
     Stopwatch since_frame;
     double last_nodes_per_sec = 0.0;
   };
+  using Loop = EventLoop<Peer>;
+  using Conn = Loop::Conn;
 
   struct LeaseState {
     LeaseStatus status = LeaseStatus::kPending;
     std::uint64_t lease_id = 0;  // Current (latest) lease of the row.
-    int holder_fd = -1;
   };
 
-  // ---- Event-loop thread (all state below `checker_` is confined) ----
-  void Loop();
-  void AcceptReady();
-  bool HandleReadable(Conn& conn);
+  // ---- Event-loop callbacks (all loop-confined state below) ----
+  bool HandleData(Conn& conn);
   bool HandleFrame(Conn& conn, std::uint8_t opcode,
                    std::string_view payload);
   bool HandleHello(Conn& conn, std::string_view payload);
   bool HandleLeaseRequest(Conn& conn);
   bool HandleHeartbeat(Conn& conn, std::string_view payload);
   bool HandleResult(Conn& conn, std::string_view payload);
-  /// Queues bytes on the connection and flushes what the socket takes.
-  bool SendFrame(Conn& conn, std::string frame);
-  bool FlushConn(Conn& conn);
-  void CloseConn(int fd);
+  /// Bumps one stats() field and, when set, its farm.* counter.
+  void Count(obs::Counter* metric, std::uint64_t Stats::*stat);
   /// Returns every lease `conn` holds to the pending set.
   void RevokeHeld(Conn& conn, bool notify);
   void TickTimeouts();
@@ -164,18 +160,12 @@ class Coordinator {
   serve::SnapshotParams params_;
 
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
   int port_ = 0;
-  std::thread loop_thread_;
   std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
 
-  /// Binds to the loop thread on its first iteration; every handler
-  /// asserts it runs there.
-  ThreadChecker checker_;
+  /// Renders the registry for AnswerScrape; empty when no registry.
+  std::function<std::string()> scrape_render_;
   // Loop-confined state (no locks: single owner thread).
-  std::map<int, Conn> conns_;
   std::map<std::uint32_t, LeaseState> leases_;  // Keyed by root row.
   std::set<std::uint32_t> pending_;
   std::size_t done_count_ = 0;
@@ -202,11 +192,13 @@ class Coordinator {
     obs::Counter* results = nullptr;
     obs::Counter* duplicate_results = nullptr;
     obs::Counter* workers_rejected = nullptr;
-    obs::Counter* bytes_in = nullptr;
-    obs::Counter* bytes_out = nullptr;
   } metrics_;
 
   std::size_t lease_total_ = 0;
+
+  /// Last: its thread runs the callbacks above, so it is built after and
+  /// destroyed before the state they touch.
+  Loop loop_;
 };
 
 }  // namespace farm

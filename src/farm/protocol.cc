@@ -325,23 +325,16 @@ Status DecodeRevoke(std::string_view payload, RevokeMsg* out) {
 }
 
 FarmDetect DetectFarmProtocol(std::string_view prefix) {
-  const std::string_view farm(kFarmPreamble, kFarmPreambleSize);
-  const std::string_view http("GET ", 4);
-  const bool farm_prefix =
-      prefix.size() < farm.size()
-          ? farm.substr(0, prefix.size()) == prefix
-          : prefix.substr(0, farm.size()) == farm;
-  const bool http_prefix =
-      prefix.size() < http.size()
-          ? http.substr(0, prefix.size()) == prefix
-          : prefix.substr(0, http.size()) == http;
-  if (prefix.size() >= kFarmPreambleSize) {
-    if (farm_prefix) return FarmDetect::kFarm;
-    if (http_prefix) return FarmDetect::kHttp;
-    return FarmDetect::kUnknown;
+  using wire::PreambleMatch;
+  const PreambleMatch farm = wire::MatchPreamble(
+      prefix, std::string_view(kFarmPreamble, kFarmPreambleSize));
+  const PreambleMatch http = wire::MatchPreamble(prefix, "GET ");
+  if (farm == PreambleMatch::kFull) return FarmDetect::kFarm;
+  if (http == PreambleMatch::kFull) return FarmDetect::kHttp;
+  if (farm == PreambleMatch::kPartial || http == PreambleMatch::kPartial) {
+    return FarmDetect::kNeedMore;
   }
-  return (farm_prefix || http_prefix) ? FarmDetect::kNeedMore
-                                      : FarmDetect::kUnknown;
+  return FarmDetect::kUnknown;
 }
 
 }  // namespace farm

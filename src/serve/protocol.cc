@@ -306,18 +306,15 @@ const char* FrameStatusCode(FrameStatus status) {
 }
 
 ProtocolDetect DetectProtocol(std::string_view prefix) {
-  if (prefix.empty()) return ProtocolDetect::kNeedMore;
-  const std::string_view binary(kBinaryPreamble, kBinaryPreambleSize);
-  const std::string_view http(kHttpPreamble, kHttpPreambleSize);
-  const std::size_t nb = std::min(prefix.size(), kBinaryPreambleSize);
-  if (prefix.substr(0, nb) == binary.substr(0, nb)) {
-    return prefix.size() >= kBinaryPreambleSize ? ProtocolDetect::kBinary
-                                                : ProtocolDetect::kNeedMore;
-  }
-  const std::size_t nh = std::min(prefix.size(), kHttpPreambleSize);
-  if (prefix.substr(0, nh) == http.substr(0, nh)) {
-    return prefix.size() >= kHttpPreambleSize ? ProtocolDetect::kHttp
-                                              : ProtocolDetect::kNeedMore;
+  using wire::PreambleMatch;
+  const PreambleMatch binary = wire::MatchPreamble(
+      prefix, std::string_view(kBinaryPreamble, kBinaryPreambleSize));
+  const PreambleMatch http = wire::MatchPreamble(
+      prefix, std::string_view(kHttpPreamble, kHttpPreambleSize));
+  if (binary == PreambleMatch::kFull) return ProtocolDetect::kBinary;
+  if (http == PreambleMatch::kFull) return ProtocolDetect::kHttp;
+  if (binary == PreambleMatch::kPartial || http == PreambleMatch::kPartial) {
+    return ProtocolDetect::kNeedMore;
   }
   return ProtocolDetect::kJson;
 }

@@ -1,24 +1,14 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -30,23 +20,6 @@
 namespace farmer {
 namespace serve {
 namespace {
-
-// epoll_wait timeout: how often a shard scans its connections for idle
-// and send-stall expiry, and how quickly it notices Shutdown() without
-// an eventfd wake.
-constexpr int kTickMs = 50;
-
-// recv() chunk size and the per-wake read cap. The cap keeps one
-// fire-hosing connection from starving its shard's siblings: leftover
-// bytes stay in the kernel buffer and level-triggered epoll reports the
-// socket readable again on the next wait.
-constexpr std::size_t kReadChunk = 16384;
-constexpr std::size_t kMaxReadPerWake = 256 * 1024;
-
-// Responses coalesced into one vectored send (well under IOV_MAX).
-constexpr int kMaxIov = 64;
-
-constexpr int kMaxEpollEvents = 128;
 
 // Send timeout on sockets still in blocking mode (the reject path runs
 // before the fd goes non-blocking).
@@ -63,13 +36,10 @@ std::vector<double> ReloadBounds() {
   return {1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0};
 }
 
-// The POSIX socket plumbing (errno rendering, non-blocking mode,
-// listener setup, HTTP responses) lives in util/net, shared with the
-// farm layer and the CLI clients.
-using net::ErrnoString;
+// The POSIX socket plumbing (listener setup, HTTP responses) lives in
+// util/net, shared with the farm layer and the CLI clients.
 using net::HttpResponse;
 using net::OpenListener;
-using net::SetNonBlocking;
 
 // Blocking best-effort send for the reject path (overloaded /
 // shutting-down replies on not-yet-admitted sockets). SO_SNDTIMEO
@@ -149,23 +119,20 @@ Server::Server(RuleGroupIndex index, const Options& options)
     shard_metrics_.resize(options_.num_shards);
     for (std::size_t i = 0; i < options_.num_shards; ++i) {
       const std::string shard = std::to_string(i);
+      const auto name = [&shard](const char* family) {
+        return obs::LabeledName(family, {{"shard", shard}});
+      };
       ShardMetrics& sm = shard_metrics_[i];
-      sm.connections = m->GetGauge(
-          obs::LabeledName("serve.shard_connections", {{"shard", shard}}));
-      sm.wakeups = m->GetCounter(
-          obs::LabeledName("serve.shard_wakeups", {{"shard", shard}}));
-      sm.loop_seconds = m->GetHistogram(
-          obs::LabeledName("serve.shard_loop_seconds", {{"shard", shard}}),
-          LatencyBounds());
-      sm.pending_frames = m->GetGauge(
-          obs::LabeledName("serve.shard_pending_frames", {{"shard", shard}}));
-      sm.bytes_in = m->GetCounter(
-          obs::LabeledName("serve.shard_bytes_in", {{"shard", shard}}));
-      sm.bytes_out = m->GetCounter(
-          obs::LabeledName("serve.shard_bytes_out", {{"shard", shard}}));
-      sm.write_stalls = m->GetCounter(
-          obs::LabeledName("serve.shard_write_stalls", {{"shard", shard}}));
+      sm.connections = m->GetGauge(name("serve.shard_connections"));
+      sm.loop.wakeups = m->GetCounter(name("serve.shard_wakeups"));
+      sm.loop.loop_seconds = m->GetHistogram(
+          name("serve.shard_loop_seconds"), LatencyBounds());
+      sm.pending_frames = m->GetGauge(name("serve.shard_pending_frames"));
+      sm.loop.bytes_in = m->GetCounter(name("serve.shard_bytes_in"));
+      sm.loop.bytes_out = m->GetCounter(name("serve.shard_bytes_out"));
+      sm.loop.write_stalls = m->GetCounter(name("serve.shard_write_stalls"));
     }
+    scrape_render_ = [this] { return RenderExposition(); };
   }
 }
 
@@ -224,49 +191,43 @@ Status Server::Start() {
     const Status scrape = OpenListener(options_.host, options_.metrics_port,
                                        &metrics_listen_fd_, &metrics_port_);
     if (!scrape.ok()) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
+      CloseListeners();
       return scrape;
     }
   }
 
-  const auto abort_start = [this](const std::string& what) {
-    const std::string err = ErrnoString(errno);
-    for (auto& shard : shards_) {
-      if (shard->wake_fd >= 0) ::close(shard->wake_fd);
-      if (shard->epoll_fd >= 0) ::close(shard->epoll_fd);
-    }
-    shards_.clear();
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    if (metrics_listen_fd_ >= 0) {
-      ::close(metrics_listen_fd_);
-      metrics_listen_fd_ = -1;
-    }
-    return Status::IoError(what + "(): " + err);
-  };
-
   shards_.clear();
-  for (std::size_t i = 0; i < options_.num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    shard->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    shard->sm = shard_metrics_.empty() ? nullptr : &shard_metrics_[i];
-    shards_.push_back(std::move(shard));
-    Shard& s = *shards_.back();
-    if (s.epoll_fd < 0) return abort_start("epoll_create1");
-    if (s.wake_fd < 0) return abort_start("eventfd");
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = s.wake_fd;
-    if (::epoll_ctl(s.epoll_fd, EPOLL_CTL_ADD, s.wake_fd, &ev) != 0) {
-      return abort_start("epoll_ctl");
-    }
-  }
-
   stopping_.store(false, std::memory_order_release);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    shards_[i]->thread = std::thread([this, i] { ShardLoop(i); });
+  for (std::size_t i = 0; i < options_.num_shards; ++i) {
+    const ShardMetrics* sm =
+        shard_metrics_.empty() ? nullptr : &shard_metrics_[i];
+    // The callbacks reach their Shard through shards_, which is fully
+    // built before any of them can run.
+    ShardLoop::Handler handler;
+    handler.on_open = [this, i](Conn& conn) {
+      conn.state.idle = Deadline::After(options_.idle_timeout_s);
+      CountConn(*shards_[i], /*opened=*/true);
+    };
+    handler.on_data = [this, i](Conn& conn) {
+      ProcessBuffered(i, *shards_[i], conn);
+      return true;
+    };
+    handler.on_tick = [this, i] { TickTimeouts(*shards_[i]); };
+    handler.on_close = [this, i](Conn&) {
+      CountConn(*shards_[i], /*opened=*/false);
+    };
+    shards_.push_back(std::make_unique<Shard>(
+        std::move(handler), sm != nullptr ? sm->loop : EventLoopMetrics{}));
+    shards_.back()->sm = sm;
+  }
+  for (auto& shard : shards_) {
+    const Status running = shard->loop.Start();
+    if (!running.ok()) {
+      for (auto& started : shards_) started->loop.Stop();
+      shards_.clear();
+      CloseListeners();
+      return running;
+    }
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   started_.store(true, std::memory_order_release);
@@ -286,20 +247,18 @@ void Server::Shutdown() {
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (metrics_listen_fd_ >= 0) ::shutdown(metrics_listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  if (metrics_listen_fd_ >= 0) {
-    ::close(metrics_listen_fd_);
-    metrics_listen_fd_ = -1;
-  }
-  for (auto& shard : shards_) WakeShard(*shard);
-  for (auto& shard : shards_) {
-    if (shard->thread.joinable()) shard->thread.join();
-    ::close(shard->wake_fd);
-    ::close(shard->epoll_fd);
-  }
+  CloseListeners();
+  // Each shard drains its connections (one flush each) and exits.
+  for (auto& shard : shards_) shard->loop.Stop();
   shards_.clear();
   started_.store(false, std::memory_order_release);
+}
+
+void Server::CloseListeners() {
+  for (int* fd : {&listen_fd_, &metrics_listen_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
+  }
 }
 
 void Server::AcceptLoop() {
@@ -387,31 +346,11 @@ bool Server::AcceptOne(int lfd, bool admission_exempt,
   }
   PublishActiveGauge();
 
-  if (!SetNonBlocking(fd)) {
-    ::close(fd);
-    active_connections_.fetch_sub(1, std::memory_order_relaxed);
-    PublishActiveGauge();
-    return true;
-  }
-  // Responses are coalesced into full frames before sending; Nagle
-  // would only add latency on the last partial segment.
-  net::SetTcpNoDelay(fd);
-
-  Shard& shard = *shards_[*next_shard];
+  // The shard makes the socket non-blocking and owns it from here; its
+  // close releases the admission slot.
+  shards_[*next_shard]->loop.Adopt(fd);
   *next_shard = (*next_shard + 1) % shards_.size();
-  {
-    MutexLock inbox_lock(shard.inbox_mutex);
-    shard.inbox.push_back(fd);
-  }
-  WakeShard(shard);
   return true;
-}
-
-void Server::WakeShard(Shard& shard) {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n =
-      ::write(shard.wake_fd, &one, sizeof(one));
-  // EAGAIN means the counter is already non-zero: the shard is waking.
 }
 
 void Server::PublishActiveGauge() {
@@ -424,157 +363,67 @@ void Server::PublishActiveGauge() {
 // farmer-lint: begin(event-loop)
 // Everything between these markers runs on a shard's event-loop thread
 // and must never block: no file I/O, no sleeps, no blocking sockets
-// (tools/farmer_lint.py, rule `event-loop-blocking`). The sockets here
-// are non-blocking; recv/sendmsg return EAGAIN instead of parking the
-// loop. Request execution (ExecutePending and below) sits outside the
-// region: the reload admin op deliberately reads a snapshot file on
-// the shard thread, stalling only its own shard.
+// (tools/farmer_lint.py, rule `event-loop-blocking`). The transport
+// (util/event_loop.cc) sits in the same discipline. Request execution
+// (ExecutePending and below) sits outside the region: the reload admin
+// op deliberately reads a snapshot file on the shard thread, stalling
+// only its own shard.
 
-void Server::AdoptInbox(Shard& shard) {
-  FARMER_DCHECK_CALLED_ON(shard.checker);
-  std::vector<int> fresh;
-  {
-    MutexLock lock(shard.inbox_mutex);
-    fresh.swap(shard.inbox);
-  }
-  for (const int fd : fresh) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(shard.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      active_connections_.fetch_sub(1, std::memory_order_relaxed);
-      continue;
-    }
-    Conn conn;
-    conn.fd = fd;
-    conn.idle = Deadline::After(options_.idle_timeout_s);
-    shard.conns.emplace(fd, std::move(conn));
-    shard.owned.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (!fresh.empty()) {
-    PublishActiveGauge();
-    if (shard.sm != nullptr && shard.sm->connections != nullptr) {
-      shard.sm->connections->Set(static_cast<double>(shard.conns.size()));
-    }
-  }
-}
-
-void Server::ShardLoop(std::size_t shard_id) {
-  Shard& shard = *shards_[shard_id];
-  // First touch binds the checker to this thread; every shard-confined
-  // method below then asserts it runs here.
-  FARMER_DCHECK_CALLED_ON(shard.checker);
-  std::array<epoll_event, kMaxEpollEvents> events;
-  while (true) {
-    const int n = ::epoll_wait(shard.epoll_fd, events.data(),
-                               kMaxEpollEvents, kTickMs);
-    // One wake = one loop iteration; the Stopwatch below times the
-    // work between this wait and the next one (loop stall signal).
-    if (shard.sm != nullptr && shard.sm->wakeups != nullptr) {
-      shard.sm->wakeups->Increment();
-    }
-    Stopwatch loop_watch;
-    // Adopt first so handed-off fds are owned (and get closed on the
-    // drain path below) even when the wake races shutdown.
-    AdoptInbox(shard);
-    if (stopping_.load(std::memory_order_acquire)) break;
-    for (int i = 0; i < n; ++i) {
-      const epoll_event& ev = events[static_cast<std::size_t>(i)];
-      const int fd = ev.data.fd;
-      if (fd == shard.wake_fd) {
-        std::uint64_t junk;
-        while (::read(shard.wake_fd, &junk, sizeof(junk)) > 0) {
-        }
-        continue;
-      }
-      auto it = shard.conns.find(fd);
-      if (it == shard.conns.end()) continue;
-      Conn& conn = it->second;
-      bool alive = (ev.events & (EPOLLERR | EPOLLHUP)) == 0;
-      if (alive && (ev.events & EPOLLOUT) != 0) {
-        alive = FlushConn(shard, conn);
-      }
-      if (alive && (ev.events & EPOLLIN) != 0) {
-        alive = HandleReadable(shard_id, shard, conn);
-      }
-      if (!alive) CloseConn(shard, fd);
-    }
-    TickTimeouts(shard);
-    if (shard.sm != nullptr && shard.sm->loop_seconds != nullptr) {
-      shard.sm->loop_seconds->Observe(loop_watch.ElapsedSeconds());
-    }
-  }
-  // Graceful drain: give each connection one best-effort flush (peers
-  // that are reading get their queued responses), then close.
-  for (auto& entry : shard.conns) {
-    FlushConn(shard, entry.second);
-    ::close(entry.second.fd);
-    active_connections_.fetch_sub(1, std::memory_order_relaxed);
-    shard.owned.fetch_sub(1, std::memory_order_relaxed);
-  }
-  shard.conns.clear();
-  PublishActiveGauge();
+void Server::CountConn(Shard& shard, bool opened) {
+  const std::size_t owned =
+      opened ? shard.owned.fetch_add(1, std::memory_order_relaxed) + 1
+             : shard.owned.fetch_sub(1, std::memory_order_relaxed) - 1;
   if (shard.sm != nullptr && shard.sm->connections != nullptr) {
-    shard.sm->connections->Set(0.0);
+    shard.sm->connections->Set(static_cast<double>(owned));
   }
+  if (opened) return;
+  // A closed connection gives its admission slot back.
+  active_connections_.fetch_sub(1, std::memory_order_relaxed);
+  PublishActiveGauge();
 }
 
-bool Server::HandleReadable(std::size_t shard_id, Shard& shard, Conn& conn) {
-  FARMER_DCHECK_CALLED_ON(shard.checker);
-  char chunk[kReadChunk];
-  std::size_t got = 0;
-  bool peer_closed = false;
-  while (got < kMaxReadPerWake) {
-    const ssize_t n = ::recv(conn.fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      conn.rbuf.append(chunk, static_cast<std::size_t>(n));
-      got += static_cast<std::size_t>(n);
-      continue;
+void Server::TickTimeouts(Shard& shard) {
+  shard.loop.ForEach([&](Conn& conn) {
+    if (conn.HasPending()) {
+      // Pending output and no send progress: the peer stopped reading
+      // (its TCP window is full). Drop it rather than holding the
+      // buffers and the admission slot.
+      if (options_.send_timeout_s > 0 &&
+          conn.stall.ElapsedSeconds() > options_.send_timeout_s) {
+        shard.loop.Close(conn);
+      }
+      return;
     }
-    if (n == 0) {
-      peer_closed = true;
-      break;
+    if (!conn.want_close && conn.state.idle.ExpiredNow()) {
+      Enqueue(conn, FrameStatus::kIdleTimeout, 0,
+              RenderError("idle_timeout", "connection idle too long"));
+      conn.want_close = true;
+      shard.loop.Flush(conn);
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    return false;
-  }
-  if (got > 0 && shard.sm != nullptr && shard.sm->bytes_in != nullptr) {
-    shard.sm->bytes_in->Add(got);
-  }
-  ProcessBuffered(shard_id, shard, conn);
-  if (!FlushConn(shard, conn)) return false;
-  if (peer_closed) {
-    // Half-closed peer (shutdown(SHUT_WR)): deliver what's still
-    // queued, then close once it drains.
-    if (!HasPending(conn)) return false;
-    conn.want_close = true;
-  }
-  return true;
+  });
 }
 
 void Server::ProcessBuffered(std::size_t shard_id, Shard& shard, Conn& conn) {
-  FARMER_DCHECK_CALLED_ON(shard.checker);
-  if (conn.mode == Conn::Mode::kDetect) {
+  ConnState& state = conn.state;
+  if (state.mode == ConnState::Mode::kDetect) {
     switch (DetectProtocol(conn.rbuf)) {
       case ProtocolDetect::kNeedMore:
         return;
       case ProtocolDetect::kJson:
-        conn.mode = Conn::Mode::kJson;
+        state.mode = ConnState::Mode::kJson;
         break;
       case ProtocolDetect::kBinary:
-        conn.mode = Conn::Mode::kBinary;
+        state.mode = ConnState::Mode::kBinary;
         conn.rbuf.erase(0, kBinaryPreambleSize);
         break;
       case ProtocolDetect::kHttp:
-        conn.mode = Conn::Mode::kHttp;
+        state.mode = ConnState::Mode::kHttp;
         break;
     }
   }
-  if (conn.mode == Conn::Mode::kHttp) {
-    HandleHttp(conn);
-    conn.idle = Deadline::After(options_.idle_timeout_s);
+  if (state.mode == ConnState::Mode::kHttp) {
+    AnswerScrape(conn, scrape_render_);
+    state.idle = Deadline::After(options_.idle_timeout_s);
     return;
   }
 
@@ -587,8 +436,25 @@ void Server::ProcessBuffered(std::size_t shard_id, Shard& shard, Conn& conn) {
   // Parse-then-execute: every complete request is cut off the buffer
   // and deadline-stamped before any of them runs, so the budget of a
   // pipelined request queued behind a slow one burns while it waits —
-  // exactly as if the client had sent them one at a time.
-  const auto stamp = [this](PendingRequest& p) {
+  // exactly as if the client had sent them one at a time. `parse` runs
+  // the framing's parser into the request it is given.
+  std::vector<PendingRequest> batch;
+  const auto add = [&](bool binary, const auto& parse) {
+    PendingRequest& p = batch.emplace_back();
+    p.binary = binary;
+    if (instr) {
+      p.parse_start_ns =
+          options_.trace != nullptr ? options_.trace->NowNs() : 0;
+      const Stopwatch parse_watch;
+      p.parse = parse(&p.request);
+      p.parse_s = parse_watch.ElapsedSeconds();
+      // JSON requests carry no bin_id: a per-connection sequence
+      // stands in for it.
+      p.trace_id =
+          p.request.bin_id != 0 ? p.request.bin_id : ++state.trace_seq;
+    } else {
+      p.parse = parse(&p.request);
+    }
     if (!p.parse.ok()) return;
     double budget_s = options_.default_deadline_s;
     if (p.request.deadline_ms > 0 &&
@@ -598,8 +464,7 @@ void Server::ProcessBuffered(std::size_t shard_id, Shard& shard, Conn& conn) {
     p.deadline = Deadline::After(budget_s);
   };
 
-  std::vector<PendingRequest> batch;
-  if (conn.mode == Conn::Mode::kJson) {
+  if (state.mode == ConnState::Mode::kJson) {
     std::size_t start = 0;
     for (;;) {
       const std::size_t nl = conn.rbuf.find('\n', start);
@@ -608,19 +473,7 @@ void Server::ProcessBuffered(std::size_t shard_id, Shard& shard, Conn& conn) {
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      PendingRequest p;
-      if (instr) {
-        p.parse_start_ns =
-            options_.trace != nullptr ? options_.trace->NowNs() : 0;
-        Stopwatch parse_watch;
-        p.parse = ParseRequest(line, &p.request);
-        p.parse_s = parse_watch.ElapsedSeconds();
-        p.trace_id = ++conn.trace_seq;
-      } else {
-        p.parse = ParseRequest(line, &p.request);
-      }
-      stamp(p);
-      batch.push_back(std::move(p));
+      add(false, [&line](QueryRequest* r) { return ParseRequest(line, r); });
     }
     if (start > 0) conn.rbuf.erase(0, start);
     // A line longer than the request cap can never become valid;
@@ -651,21 +504,9 @@ void Server::ProcessBuffered(std::size_t shard_id, Shard& shard, Conn& conn) {
         pos = 0;
         break;
       }
-      PendingRequest p;
-      p.binary = true;
-      if (instr) {
-        p.parse_start_ns =
-            options_.trace != nullptr ? options_.trace->NowNs() : 0;
-        Stopwatch parse_watch;
-        p.parse = ParseBinaryRequest(opcode, payload, &p.request);
-        p.parse_s = parse_watch.ElapsedSeconds();
-        p.trace_id = p.request.bin_id != 0 ? p.request.bin_id
-                                           : ++conn.trace_seq;
-      } else {
-        p.parse = ParseBinaryRequest(opcode, payload, &p.request);
-      }
-      stamp(p);
-      batch.push_back(std::move(p));
+      add(true, [&](QueryRequest* r) {
+        return ParseBinaryRequest(opcode, payload, r);
+      });
       pos += consumed;
     }
     if (pos > 0) conn.rbuf.erase(0, pos);
@@ -675,7 +516,7 @@ void Server::ProcessBuffered(std::size_t shard_id, Shard& shard, Conn& conn) {
   for (PendingRequest& p : batch) {
     ExecutePending(shard_id, conn, p);
   }
-  conn.idle = Deadline::After(options_.idle_timeout_s);
+  state.idle = Deadline::After(options_.idle_timeout_s);
   if (shard.sm != nullptr && shard.sm->pending_frames != nullptr) {
     // Responses queued behind the socket after this wake's batch — a
     // last-writer snapshot across the shard's connections, enough to
@@ -685,59 +526,15 @@ void Server::ProcessBuffered(std::size_t shard_id, Shard& shard, Conn& conn) {
   }
 }
 
-void Server::HandleHttp(Conn& conn) {
-  // Answer only once the request head is fully buffered so the
-  // response never races the peer's own send; headers are ignored.
-  std::size_t consumed = conn.rbuf.find("\r\n\r\n");
-  if (consumed != std::string::npos) {
-    consumed += 4;
-  } else {
-    consumed = conn.rbuf.find("\n\n");
-    if (consumed != std::string::npos) consumed += 2;
-  }
-  if (consumed == std::string::npos) {
-    if (conn.rbuf.size() > kMaxRequestBytes) {
-      EnqueueRaw(conn, HttpResponse("431 Request Header Fields Too Large",
-                                    "text/plain", "request too large\n"));
-      conn.want_close = true;
-      conn.rbuf.clear();
-    }
-    return;
-  }
-  const std::size_t line_end = conn.rbuf.find_first_of("\r\n");
-  const std::string line = conn.rbuf.substr(0, line_end);
-  // One response per connection, HTTP/1.0 style: drop any pipelined
-  // bytes and close after the flush.
-  conn.rbuf.clear();
-  // Request line: "GET <path> <version>". The detector guaranteed the
-  // method, so only the path matters.
-  const std::size_t sp1 = line.find(' ');
-  const std::size_t sp2 =
-      sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
-  std::string path = sp2 == std::string::npos
-                         ? line.substr(sp1 + 1)
-                         : line.substr(sp1 + 1, sp2 - sp1 - 1);
-  const std::size_t query = path.find('?');
-  if (query != std::string::npos) path.resize(query);
-
-  if (path != "/metrics") {
-    EnqueueRaw(conn, HttpResponse("404 Not Found", "text/plain",
-                                  "try GET /metrics\n"));
-  } else if (options_.metrics == nullptr) {
-    EnqueueRaw(conn, HttpResponse("503 Service Unavailable", "text/plain",
-                                  "no metrics registry attached\n"));
-  } else {
-    EnqueueRaw(conn, HttpResponse("200 OK", obs::kExpositionContentType,
-                                  RenderExposition()));
-  }
-  conn.want_close = true;
-}
-
 // farmer-lint: end(event-loop)
 
 void Server::ExecutePending(std::size_t shard_id, Conn& conn,
                             PendingRequest& p) {
-  Stopwatch watch;
+  const bool slow_log = options_.slow_query_ms > 0;
+  // Latency clock only when the histogram or the slow-query log reads
+  // it: telemetry off takes no clock reads.
+  std::optional<Stopwatch> watch;
+  if (metrics_.latency != nullptr || slow_log) watch.emplace();
   shards_[shard_id]->requests.fetch_add(1, std::memory_order_relaxed);
   if (metrics_.requests != nullptr) metrics_.requests->Increment();
 
@@ -751,7 +548,6 @@ void Server::ExecutePending(std::size_t shard_id, Conn& conn,
     return;
   }
 
-  const bool slow_log = options_.slow_query_ms > 0;
   RequestScope scope;
   RequestScope* scope_ptr = nullptr;
   if (options_.trace != nullptr || slow_log) {
@@ -781,10 +577,7 @@ void Server::ExecutePending(std::size_t shard_id, Conn& conn,
           ? RunReload(p.request)
           : RunQuery(p.request, p.deadline, shard_id, scope_ptr);
 
-  double elapsed_s = 0.0;
-  if (metrics_.latency != nullptr || slow_log) {
-    elapsed_s = watch.ElapsedSeconds();
-  }
+  const double elapsed_s = watch ? watch->ElapsedSeconds() : 0.0;
   if (metrics_.latency != nullptr) {
     metrics_.latency->Observe(elapsed_s);
     const auto opi = static_cast<std::size_t>(p.request.op);
@@ -873,16 +666,17 @@ Server::QueryOutcome Server::RunQuery(const QueryRequest& request,
     if (metrics_.cache_misses != nullptr) metrics_.cache_misses->Increment();
   }
 
-  if (deadline.ExpiredNow()) {
+  const auto expired = [&](const char* message) {
+    if (!deadline.ExpiredNow()) return false;
     if (metrics_.deadline_exceeded != nullptr) {
       metrics_.deadline_exceeded->Increment();
     }
     out.error = true;
     out.status = FrameStatus::kDeadlineExceeded;
-    out.json = RenderError("deadline_exceeded",
-                           "deadline expired before query", request.id);
-    return out;
-  }
+    out.json = RenderError("deadline_exceeded", message, request.id);
+    return true;
+  };
+  if (expired("deadline expired before query")) return out;
 
   std::vector<std::uint32_t> ids;
   {
@@ -934,16 +728,7 @@ Server::QueryOutcome Server::RunQuery(const QueryRequest& request,
     if (ids.size() > request.limit) ids.resize(request.limit);
   }
 
-  if (deadline.ExpiredNow()) {
-    if (metrics_.deadline_exceeded != nullptr) {
-      metrics_.deadline_exceeded->Increment();
-    }
-    out.error = true;
-    out.status = FrameStatus::kDeadlineExceeded;
-    out.json = RenderError("deadline_exceeded",
-                           "deadline expired during query", request.id);
-    return out;
-  }
+  if (expired("deadline expired during query")) return out;
 
   {
     PhaseTimer encode_phase(scope, "serve.encode", &RequestScope::encode_s);
@@ -1063,149 +848,20 @@ void Server::EmitSlowQuery(std::size_t shard_id, const PendingRequest& p,
 
 void Server::Enqueue(Conn& conn, FrameStatus status, std::uint64_t bin_id,
                      std::string json) {
-  const bool was_idle = !HasPending(conn);
-  if (conn.mode == Conn::Mode::kBinary) {
-    conn.outq.push_back(EncodeResponseFrame(status, bin_id, json));
-  } else if (conn.mode == Conn::Mode::kHttp) {
+  if (conn.state.mode == ConnState::Mode::kBinary) {
+    conn.Queue(EncodeResponseFrame(status, bin_id, json));
+  } else if (conn.state.mode == ConnState::Mode::kHttp) {
     // Server-initiated errors on a scrape connection (idle timeout)
     // still have to be HTTP for the peer to parse them.
     json.push_back('\n');
-    conn.outq.push_back(
-        HttpResponse("408 Request Timeout", "application/json", json));
+    conn.Queue(HttpResponse("408 Request Timeout", "application/json", json));
   } else {
     // kDetect (no protocol spoken yet, e.g. an idle timeout before the
     // first byte) answers in JSON, like the old line-only server.
     json.push_back('\n');
-    conn.outq.push_back(std::move(json));
-  }
-  if (was_idle) conn.stall.Restart();
-}
-
-void Server::EnqueueRaw(Conn& conn, std::string bytes) {
-  const bool was_idle = !HasPending(conn);
-  conn.outq.push_back(std::move(bytes));
-  if (was_idle) conn.stall.Restart();
-}
-
-// farmer-lint: begin(event-loop)
-
-bool Server::FlushConn(Shard& shard, Conn& conn) {
-  FARMER_DCHECK_CALLED_ON(shard.checker);
-  while (HasPending(conn)) {
-    iovec iov[kMaxIov];
-    int cnt = 0;
-    for (std::size_t i = conn.out_head;
-         i < conn.outq.size() && cnt < kMaxIov; ++i) {
-      const std::string& s = conn.outq[i];
-      const std::size_t off = (i == conn.out_head) ? conn.out_off : 0;
-      iov[cnt].iov_base = const_cast<char*>(s.data() + off);
-      iov[cnt].iov_len = s.size() - off;
-      ++cnt;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<std::size_t>(cnt);
-    const ssize_t n = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
-    }
-    if (shard.sm != nullptr && shard.sm->bytes_out != nullptr) {
-      shard.sm->bytes_out->Add(static_cast<std::uint64_t>(n));
-    }
-    conn.stall.Restart();
-    std::size_t left = static_cast<std::size_t>(n);
-    while (left > 0) {
-      const std::size_t remain =
-          conn.outq[conn.out_head].size() - conn.out_off;
-      if (left >= remain) {
-        left -= remain;
-        conn.out_off = 0;
-        ++conn.out_head;
-      } else {
-        conn.out_off += left;
-        left = 0;
-      }
-    }
-  }
-  if (!HasPending(conn)) {
-    conn.outq.clear();
-    conn.out_head = 0;
-    conn.out_off = 0;
-    SetWriteInterest(shard, conn, false);
-    return !conn.want_close;
-  }
-  // Socket full: reclaim the fully-sent prefix once it grows, then wait
-  // for EPOLLOUT.
-  if (conn.out_head >= 64) {
-    conn.outq.erase(conn.outq.begin(),
-                    conn.outq.begin() +
-                        static_cast<std::ptrdiff_t>(conn.out_head));
-    conn.out_head = 0;
-  }
-  // Count stall transitions (not every full-socket retry): the moment
-  // a connection first blocks on the peer's receive window.
-  if (!conn.out_armed && shard.sm != nullptr &&
-      shard.sm->write_stalls != nullptr) {
-    shard.sm->write_stalls->Increment();
-  }
-  SetWriteInterest(shard, conn, true);
-  return true;
-}
-
-void Server::TickTimeouts(Shard& shard) {
-  FARMER_DCHECK_CALLED_ON(shard.checker);
-  std::vector<int> doomed;
-  for (auto& entry : shard.conns) {
-    Conn& conn = entry.second;
-    if (HasPending(conn)) {
-      // Pending output and no send progress: the peer stopped reading
-      // (its TCP window is full). Drop it rather than holding the
-      // buffers and the admission slot.
-      if (options_.send_timeout_s > 0 &&
-          conn.stall.ElapsedSeconds() > options_.send_timeout_s) {
-        doomed.push_back(entry.first);
-      }
-      continue;
-    }
-    if (!conn.want_close && conn.idle.ExpiredNow()) {
-      Enqueue(conn, FrameStatus::kIdleTimeout, 0,
-              RenderError("idle_timeout", "connection idle too long"));
-      conn.want_close = true;
-      if (!FlushConn(shard, conn)) doomed.push_back(entry.first);
-    }
-  }
-  for (const int fd : doomed) CloseConn(shard, fd);
-}
-
-void Server::CloseConn(Shard& shard, int fd) {
-  FARMER_DCHECK_CALLED_ON(shard.checker);
-  auto it = shard.conns.find(fd);
-  if (it == shard.conns.end()) return;
-  ::epoll_ctl(shard.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  shard.conns.erase(it);
-  shard.owned.fetch_sub(1, std::memory_order_relaxed);
-  active_connections_.fetch_sub(1, std::memory_order_relaxed);
-  PublishActiveGauge();
-  if (shard.sm != nullptr && shard.sm->connections != nullptr) {
-    shard.sm->connections->Set(static_cast<double>(shard.conns.size()));
+    conn.Queue(std::move(json));
   }
 }
-
-void Server::SetWriteInterest(Shard& shard, Conn& conn, bool want) {
-  FARMER_DCHECK_CALLED_ON(shard.checker);
-  if (conn.out_armed == want) return;
-  epoll_event ev{};
-  ev.events = EPOLLIN | (want ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
-  ev.data.fd = conn.fd;
-  if (::epoll_ctl(shard.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev) == 0) {
-    conn.out_armed = want;
-  }
-}
-
-// farmer-lint: end(event-loop)
 
 }  // namespace serve
 }  // namespace farmer

@@ -9,7 +9,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -17,6 +16,7 @@
 #include "serve/cache.h"
 #include "serve/index.h"
 #include "serve/protocol.h"
+#include "util/event_loop.h"
 #include "util/status.h"
 #include "util/sync.h"
 #include "util/timer.h"
@@ -25,11 +25,11 @@ namespace farmer {
 namespace serve {
 
 /// A concurrent rule-group query server built around epoll readiness:
-/// one blocking acceptor thread plus `num_shards` event-loop threads.
-/// Each admitted connection is handed to exactly one shard and never
-/// migrates, so all per-connection state is thread-confined — no locks
-/// on the hot path. Sockets are non-blocking; shards run level-triggered
-/// epoll with a short tick for idle/stall scans.
+/// one blocking acceptor thread plus `num_shards` event-loop threads,
+/// each one util/event_loop.h EventLoop. Each admitted connection is
+/// handed to exactly one shard and never migrates, so all per-connection
+/// state is thread-confined — no locks on the hot path. Sockets are
+/// non-blocking; the shard's tick scans for idle and send-stall expiry.
 ///
 /// Both wire framings of serve/protocol.h are spoken, auto-detected per
 /// connection: line-delimited JSON, and FQP1 length-prefixed binary
@@ -211,15 +211,13 @@ class Server {
 
   /// Per-shard event-loop series (serve.shard_*{shard=...}); the
   /// pointer array lives in shard_metrics_, resolved once in the
-  /// constructor, so shard threads update them lock-free.
+  /// constructor, so shard threads update them lock-free. The loop-level
+  /// ones (wakeups, loop seconds, bytes, write stalls) the shard's
+  /// EventLoop updates itself.
   struct ShardMetrics {
+    EventLoopMetrics loop;
     obs::Gauge* connections = nullptr;
-    obs::Counter* wakeups = nullptr;
-    obs::Histogram* loop_seconds = nullptr;
     obs::Gauge* pending_frames = nullptr;
-    obs::Counter* bytes_in = nullptr;
-    obs::Counter* bytes_out = nullptr;
-    obs::Counter* write_stalls = nullptr;
   };
 
   /// One parsed (or failed-to-parse) request, deadline anchored at
@@ -239,44 +237,28 @@ class Server {
     double parse_s = 0.0;
   };
 
-  /// Per-connection state, owned by exactly one shard.
-  struct Conn {
+  /// The serve protocol's per-connection state; the shard's EventLoop
+  /// keeps the transport half (buffers, out-queue, stall clock).
+  struct ConnState {
     enum class Mode { kDetect, kJson, kBinary, kHttp };
 
-    int fd = -1;
     Mode mode = Mode::kDetect;
-    std::string rbuf;
     /// Monotonic per-connection request counter; stands in for a
     /// req_id on JSON requests when tracing is on.
     std::uint64_t trace_seq = 0;
-    /// Outgoing responses awaiting the socket: outq[out_head..] are
-    /// unsent; out_off bytes of outq[out_head] are already gone.
-    std::vector<std::string> outq;
-    std::size_t out_head = 0;
-    std::size_t out_off = 0;
-    bool out_armed = false;   // EPOLLOUT currently requested.
-    bool want_close = false;  // Close once outq drains.
     Deadline idle;
-    Stopwatch stall;  // Runs while outq is non-empty without progress.
   };
+  using ShardLoop = EventLoop<ConnState>;
+  using Conn = ShardLoop::Conn;
 
-  /// One event-loop thread: its epoll set, an eventfd to wake it, and
-  /// a tiny locked inbox the acceptor pushes new fds through. Except
-  /// for the inbox, everything here is confined to the shard thread —
-  /// `checker` asserts that in debug builds.
+  /// One event-loop thread and the connections the acceptor handed it.
   struct Shard {
-    int epoll_fd = -1;
-    int wake_fd = -1;
-    std::thread thread;
-    Mutex inbox_mutex;
-    std::vector<int> inbox FARMER_GUARDED_BY(inbox_mutex);
-    /// Shard-thread-confined: the connection map and through it every
-    /// Conn's parser buffer and out-queue. Only the shard's event loop
-    /// may touch them.
-    ThreadChecker checker;
-    std::unordered_map<int, Conn> conns;
+    Shard(ShardLoop::Handler handler, const EventLoopMetrics& loop_metrics)
+        : loop(std::move(handler), loop_metrics) {}
+
+    ShardLoop loop;
     /// Written only by the owning shard (relaxed), read by any shard
-    /// rendering the "stats" op — hence atomic, unlike conns.
+    /// rendering the "stats" op — hence atomic.
     std::atomic<std::uint64_t> requests{0};
     std::atomic<std::size_t> owned{0};
     /// Shard-confined slow-query sampling counter.
@@ -318,19 +300,15 @@ class Server {
   /// scrape succeeds even when query clients hold every slot. False =
   /// the listener is dead; AcceptLoop exits.
   bool AcceptOne(int lfd, bool admission_exempt, std::size_t* next_shard);
-  void ShardLoop(std::size_t shard_id);
-  /// Registers fds the acceptor queued on this shard.
-  void AdoptInbox(Shard& shard);
-  /// Drains the socket (until EAGAIN or a per-wake cap), parses and
-  /// executes every complete request, flushes. False = close.
-  bool HandleReadable(std::size_t shard_id, Shard& shard, Conn& conn);
+  void CloseListeners();
+  /// A connection entered or left the shard.
+  void CountConn(Shard& shard, bool opened);
+  /// Scans the shard's connections for idle and send-stall expiry.
+  void TickTimeouts(Shard& shard);
   /// Parses every complete request in conn.rbuf (stamping deadlines),
-  /// then executes them in arrival order, queueing responses.
+  /// then executes them in arrival order, queueing responses. Scrape
+  /// connections go to AnswerScrape.
   void ProcessBuffered(std::size_t shard_id, Shard& shard, Conn& conn);
-  /// Answers a plain-HTTP scrape connection once its request headers
-  /// are fully buffered (GET /metrics -> exposition; anything else ->
-  /// a small error response), then closes.
-  void HandleHttp(Conn& conn);
   /// Executes one parsed request and queues its response.
   void ExecutePending(std::size_t shard_id, Conn& conn, PendingRequest& p);
   /// Cache lookup + query engine for one valid request. `scope` is
@@ -348,28 +326,16 @@ class Server {
   void EmitSlowQuery(std::size_t shard_id, const PendingRequest& p,
                      const RequestScope& scope, const QueryOutcome& out,
                      double total_ms);
-  /// Queues response bytes (framed per conn.mode) on the connection.
+  /// Queues response bytes (framed per the connection's mode).
   void Enqueue(Conn& conn, FrameStatus status, std::uint64_t bin_id,
                std::string json);
-  /// Queues pre-framed bytes (HTTP responses) on the connection.
-  void EnqueueRaw(Conn& conn, std::string bytes);
-  /// Writes as much of the out-queue as the socket accepts (vectored).
-  /// Arms/disarms EPOLLOUT to match. False = close the connection.
-  bool FlushConn(Shard& shard, Conn& conn);
-  /// Scans the shard's connections for idle and send-stall expiry.
-  void TickTimeouts(Shard& shard);
-  void CloseConn(Shard& shard, int fd);
-  void SetWriteInterest(Shard& shard, Conn& conn, bool want);
-  void WakeShard(Shard& shard);
   void PublishActiveGauge();
-
-  static bool HasPending(const Conn& conn) {
-    return conn.out_head < conn.outq.size();
-  }
 
   Options options_;
   ResponseCache cache_;
   Metrics metrics_;
+  /// RenderExposition for AnswerScrape; empty when no registry.
+  std::function<std::string()> scrape_render_;
   /// Indexed by shard id; empty when no registry is attached.
   std::vector<ShardMetrics> shard_metrics_;
 

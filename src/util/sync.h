@@ -22,8 +22,8 @@
 /// compilers without the attributes (GCC) the macros expand to nothing
 /// and the wrappers compile to exactly the std primitives they wrap.
 ///
-/// For state that is *thread-confined* rather than lock-protected (the
-/// serve shards' connection maps, parser buffers), ThreadChecker gives
+/// For state that is *thread-confined* rather than lock-protected (an
+/// event loop's connection table, parser buffers), ThreadChecker gives
 /// the same discipline a runtime teeth: debug builds abort on access
 /// from a foreign thread.
 
@@ -169,19 +169,19 @@ class CondVar {
 /// event-loop rules; this is the runtime teeth.
 ///
 /// The checker binds to the first thread that calls
-/// CalledOnValidThread() (not the constructing thread: the serve
-/// acceptor builds each Shard that a different thread then owns);
+/// CalledOnValidThread() (not the constructing thread: the caller
+/// builds each EventLoop that its own loop thread then owns);
 /// every later call verifies the caller is that thread. Detach()
 /// unbinds so an object can be handed off between confinement eras.
 ///
 /// Use through the macro so release builds compile the check away:
 ///
-///   struct Shard {
-///     ThreadChecker checker;
-///     std::unordered_map<int, Conn> conns;  // confined to the shard
+///   class EventLoopBase {
+///     ThreadChecker checker_;
+///     std::unordered_map<int, ...> conns_;  // confined to the loop
 ///   };
-///   void Server::HandleReadable(Shard& shard, ...) {
-///     FARMER_DCHECK_CALLED_ON(shard.checker);
+///   bool EventLoopBase::Write(LoopConn& conn) {
+///     FARMER_DCHECK_CALLED_ON(checker_);
 ///     ...
 ///   }
 class ThreadChecker {

@@ -1,5 +1,6 @@
 #include "util/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace farmer {
@@ -105,6 +106,15 @@ void AppendFrame(std::string* out, std::uint8_t opcode,
   PutU32(out, static_cast<std::uint32_t>(1 + payload.size()));
   out->push_back(static_cast<char>(opcode));
   out->append(payload);
+}
+
+PreambleMatch MatchPreamble(std::string_view head,
+                            std::string_view preamble) {
+  const std::size_t n = std::min(head.size(), preamble.size());
+  if (head.substr(0, n) != preamble.substr(0, n)) {
+    return PreambleMatch::kMismatch;
+  }
+  return n == preamble.size() ? PreambleMatch::kFull : PreambleMatch::kPartial;
 }
 
 }  // namespace wire

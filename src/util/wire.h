@@ -73,6 +73,17 @@ FrameExtract ExtractFrame(std::string_view buffer, std::size_t max_payload,
 void AppendFrame(std::string* out, std::uint8_t opcode,
                  std::string_view payload);
 
+/// How a connection's first bytes relate to one preamble.
+enum class PreambleMatch {
+  kMismatch,  // Can never become the preamble.
+  kPartial,   // A proper prefix of it so far (empty included).
+  kFull,      // Starts with the whole preamble.
+};
+
+/// The one preamble-prefix test behind both protocol detectors
+/// (serve::DetectProtocol, farm::DetectFarmProtocol).
+PreambleMatch MatchPreamble(std::string_view head, std::string_view preamble);
+
 }  // namespace wire
 }  // namespace farmer
 

@@ -6,6 +6,7 @@
 // result is bit-identical to a single-process MineFarmer() run.
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -24,8 +25,12 @@
 #include "farm/protocol.h"
 #include "farm/worker.h"
 #include "obs/metrics.h"
+#include "serve/index.h"
+#include "serve/server.h"
 #include "test_util.h"
+#include "util/event_loop.h"
 #include "util/net.h"
+#include "util/timer.h"
 #include "util/wire.h"
 
 namespace farmer {
@@ -116,6 +121,20 @@ class RawClient {
     EXPECT_EQ(static_cast<FarmOp>(opcode), FarmOp::kLeaseGrant);
     EXPECT_TRUE(DecodeLeaseGrant(payload, &grant).ok());
     return grant;
+  }
+
+  // True when the coordinator closes the connection (EOF) within
+  // `timeout_s`; bytes received before the EOF are discarded.
+  bool WaitForEof(double timeout_s) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(timeout_s);
+    tv.tv_usec = static_cast<suseconds_t>((timeout_s - tv.tv_sec) * 1e6);
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(fd_, chunk, sizeof(chunk), 0)) > 0) {
+    }
+    return n == 0;
   }
 
   void Close() {
@@ -390,6 +409,148 @@ TEST(FarmE2ETest, MetricsScrapeOnTheFarmListener) {
   EXPECT_NE(response.find("farm"), std::string::npos) << response;
 
   coordinator.Stop();
+}
+
+TEST(FarmE2ETest, HandshakeSlowLorisIsClosedAfterHeartbeatTimeout) {
+  const BinaryDataset dataset = RandomDataset(14, 20, 0.3, 23);
+  MinerOptions opts;
+  opts.min_support = 2;
+
+  Coordinator::Options copts;
+  copts.heartbeat_timeout_s = 0.3;
+  Coordinator coordinator(dataset, opts, copts);
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  // One socket says nothing, one stops halfway through the preamble.
+  // Neither ever sends a hello, so neither may hold its socket past the
+  // heartbeat timeout.
+  const Stopwatch watch;
+  RawClient silent;
+  ASSERT_TRUE(silent.Connect(coordinator.port()));
+  RawClient partial;
+  ASSERT_TRUE(partial.Connect(coordinator.port()));
+  ASSERT_TRUE(partial.Send("FM"));
+  EXPECT_TRUE(silent.WaitForEof(10.0));
+  EXPECT_TRUE(partial.WaitForEof(10.0));
+  EXPECT_GE(watch.ElapsedSeconds(), 0.25);
+
+  // Workers send their hello right after connecting: unaffected.
+  RunWorkers(dataset, opts, coordinator.port(), 1);
+  ASSERT_TRUE(coordinator.WaitForCompletion(30.0));
+  ExpectIdenticalResults(MineFarmer(dataset, opts), coordinator.Finalize());
+}
+
+// Everything the peer sends back until it closes.
+std::string Scrape(int port, const std::string& request) {
+  int fd = -1;
+  if (!net::ConnectToHost("127.0.0.1", port, 5.0, &fd).ok()) {
+    return "<connect failed>";
+  }
+  timeval tv{};
+  tv.tv_sec = 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  std::string response;
+  if (net::SendAll(fd, request)) {
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      response.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+  ::close(fd);
+  return response;
+}
+
+// The three scrape surfaces — the serve port, the serve --metrics-port
+// listener and the farm port — answer one table through the same
+// responder: 200 / 404 / 503 (no registry) / 431 (oversized head).
+TEST(ScrapeTableTest, EveryListenerAnswersTheSameTable) {
+  const BinaryDataset dataset = RandomDataset(12, 18, 0.3, 29);
+  MinerOptions opts;
+  opts.min_support = 2;
+
+  struct Surface {
+    std::string name;
+    int port;
+    bool registry;
+  };
+  std::vector<Surface> surfaces;
+  obs::MetricsRegistry serve_metrics;
+  obs::MetricsRegistry farm_metrics;
+  std::vector<std::unique_ptr<serve::Server>> servers;
+  std::vector<std::unique_ptr<Coordinator>> coordinators;
+  for (const bool registry : {true, false}) {
+    const std::string suffix = registry ? "" : " (no registry)";
+    FarmerResult mined = MineFarmer(dataset, opts);
+    serve::RuleGroupSnapshot snapshot;
+    snapshot.groups = std::move(mined.groups);
+    snapshot.num_rows = dataset.num_rows();
+    snapshot.params = serve::SnapshotParams::FromMinerOptions(opts);
+    snapshot.fingerprint = serve::SnapshotFingerprint::FromDataset(dataset);
+    serve::Server::Options sopts;
+    sopts.num_shards = 1;
+    sopts.metrics_port = 0;
+    sopts.metrics = registry ? &serve_metrics : nullptr;
+    servers.push_back(std::make_unique<serve::Server>(
+        serve::RuleGroupIndex(std::move(snapshot)), sopts));
+    ASSERT_TRUE(servers.back()->Start().ok());
+    surfaces.push_back({"serve port" + suffix, servers.back()->port(),
+                        registry});
+    surfaces.push_back({"serve metrics port" + suffix,
+                        servers.back()->metrics_port(), registry});
+
+    Coordinator::Options copts;
+    copts.metrics = registry ? &farm_metrics : nullptr;
+    coordinators.push_back(
+        std::make_unique<Coordinator>(dataset, opts, copts));
+    ASSERT_TRUE(coordinators.back()->Start().ok());
+    surfaces.push_back({"farm port" + suffix, coordinators.back()->port(),
+                        registry});
+  }
+
+  // Exactly one byte over the cap, so the responder has read all of it
+  // before it answers and closes.
+  std::string oversized = "GET /metrics HTTP/1.0\r\nX-Pad: ";
+  oversized.resize(kMaxScrapeHeadBytes + 1, 'x');
+  struct Case {
+    const char* name;
+    std::string request;
+    const char* with_registry;
+    const char* without_registry;
+  };
+  const std::vector<Case> cases = {
+      {"metrics", "GET /metrics HTTP/1.0\r\n\r\n", "200 OK",
+       "503 Service Unavailable"},
+      {"metrics with query and headers",
+       "GET /metrics?name=x HTTP/1.1\r\nHost: a\r\n\r\n", "200 OK",
+       "503 Service Unavailable"},
+      {"bare newlines", "GET /metrics HTTP/1.0\n\n", "200 OK",
+       "503 Service Unavailable"},
+      {"other path", "GET /other HTTP/1.0\r\n\r\n", "404 Not Found",
+       "404 Not Found"},
+      {"oversized head", oversized, "431 Request Header Fields Too Large",
+       "431 Request Header Fields Too Large"},
+  };
+  for (const Surface& surface : surfaces) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(surface.name + ": " + c.name);
+      const std::string response = Scrape(surface.port, c.request);
+      const std::string want = std::string("HTTP/1.0 ") +
+                               (surface.registry ? c.with_registry
+                                                 : c.without_registry) +
+                               "\r\n";
+      EXPECT_EQ(response.rfind(want, 0), 0u) << response.substr(0, 200);
+      // One response, then close: the body is exactly Content-Length.
+      const std::size_t head_end = response.find("\r\n\r\n");
+      ASSERT_NE(head_end, std::string::npos);
+      const std::size_t length_at = response.find("Content-Length: ");
+      ASSERT_NE(length_at, std::string::npos);
+      EXPECT_EQ(std::stoul(response.substr(length_at + 16)),
+                response.size() - head_end - 4);
+    }
+  }
+  for (auto& server : servers) server->Shutdown();
+  for (auto& coordinator : coordinators) coordinator->Stop();
 }
 
 }  // namespace

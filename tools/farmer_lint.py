@@ -38,8 +38,10 @@ Rules (also: --list-rules):
 
   event-loop-blocking
       Code between `// farmer-lint: begin(event-loop)` and
-      `// farmer-lint: end(event-loop)` runs on a serve shard's epoll
-      thread and must never block: no sleeps, no file streams, no
+      `// farmer-lint: end(event-loop)` runs on an event-loop thread
+      (the shared loop in src/util/event_loop.cc, which the serve shards
+      and the farm coordinator run on, and the protocol handlers it
+      calls) and must never block: no sleeps, no file streams, no
       fopen/system/popen, no thread joins, no snapshot loads.
       Unbalanced markers are themselves findings.
 
@@ -360,7 +362,7 @@ def lint_text(path, raw_text):
             if m:
                 findings.append(Finding(
                     path, lineno, "event-loop-blocking",
-                    "blocking call on the shard event loop: "
+                    "blocking call on an event-loop thread: "
                     f"'{m.group(0).strip()}'"))
 
     findings += check_nodiscard_contract(path, code_text, raw_text)
