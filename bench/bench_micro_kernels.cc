@@ -1,10 +1,10 @@
 // Micro benchmarks of the library's hot kernels: bitset algebra,
 // chi-square bounds, tidset intersection, and a full small FARMER run.
-// The word-parallel miner kernels (AndCount / AndCountPrefix /
-// IntersectsAllOf) are benchmarked against the sorted-vector +
-// binary_search loops they replaced, and a SIMD sweep times every
-// kernel under each supported instruction-set tier (scalar / sse42 /
-// avx2 / avx512) with speedups against the scalar tier.
+// The word-parallel miner kernels (AndCount / AndCountPrefix) are
+// benchmarked against the sorted-vector + binary_search loops they
+// replaced, and a SIMD sweep times every kernel under each supported
+// instruction-set tier (scalar / sse42 / avx2 / avx512) with speedups
+// against the scalar tier.
 //
 // Results are also written to BENCH_micro_kernels.json.
 
@@ -193,57 +193,6 @@ void BM_AndCountPrefix_Bitset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AndCountPrefix_Bitset)->Arg(128)->Arg(1024)->Arg(8192);
-
-// Old back scan inner loop: for each probe row, binary-search every
-// tuple's sorted list; report the first row found in all of them.
-void BM_IntersectsAllOf_BinarySearch(benchmark::State& state) {
-  const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  const std::size_t num_tuples = 16;
-  Rng rng(13);
-  DualSet probe = MakeDualSet(bits, 0.3, rng);
-  std::vector<DualSet> tuples;
-  for (std::size_t t = 0; t < num_tuples; ++t) {
-    tuples.push_back(MakeDualSet(bits, 0.8, rng));
-  }
-  for (auto _ : state) {
-    bool found = false;
-    for (std::size_t pos : probe.sorted) {
-      bool in_all = true;
-      for (const DualSet& t : tuples) {
-        if (!std::binary_search(t.sorted.begin(), t.sorted.end(), pos)) {
-          in_all = false;
-          break;
-        }
-      }
-      if (in_all) {
-        found = true;
-        break;
-      }
-    }
-    benchmark::DoNotOptimize(found);
-  }
-}
-BENCHMARK(BM_IntersectsAllOf_BinarySearch)->Arg(128)->Arg(1024);
-
-// New: running word-parallel intersection with early exit.
-void BM_IntersectsAllOf_Bitset(benchmark::State& state) {
-  const std::size_t bits = static_cast<std::size_t>(state.range(0));
-  const std::size_t num_tuples = 16;
-  Rng rng(13);
-  DualSet probe = MakeDualSet(bits, 0.3, rng);
-  std::vector<DualSet> tuples;
-  for (std::size_t t = 0; t < num_tuples; ++t) {
-    tuples.push_back(MakeDualSet(bits, 0.8, rng));
-  }
-  std::vector<const Bitset*> ptrs;
-  for (const DualSet& t : tuples) ptrs.push_back(&t.bits);
-  Bitset scratch(bits);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        probe.bits.IntersectsAllOf(ptrs.data(), ptrs.size(), &scratch));
-  }
-}
-BENCHMARK(BM_IntersectsAllOf_Bitset)->Arg(128)->Arg(1024);
 
 // --- Per-(kernel, SIMD tier) sweep ----------------------------------
 //

@@ -28,7 +28,6 @@ struct KernelResults {
   bool none;
   bool intersects;
   bool is_subset_of;
-  bool intersects_all_of;
   Bitset and_into;
   Bitset and_not_into;
   Bitset or_and;
@@ -41,7 +40,6 @@ struct KernelResults {
            and_count == o.and_count &&
            and_count_prefix == o.and_count_prefix && none == o.none &&
            intersects == o.intersects && is_subset_of == o.is_subset_of &&
-           intersects_all_of == o.intersects_all_of &&
            and_into == o.and_into && and_not_into == o.and_not_into &&
            or_and == o.or_and && and_inplace == o.and_inplace &&
            or_inplace == o.or_inplace &&
@@ -62,10 +60,6 @@ KernelResults RunKernels(const Bitset& a, const Bitset& b, const Bitset& c,
   r.none = a.None();
   r.intersects = a.Intersects(b);
   r.is_subset_of = a.IsSubsetOf(b);
-
-  const Bitset* sets[2] = {&b, &a};
-  Bitset scratch(a.size());
-  r.intersects_all_of = a.IntersectsAllOf(sets, 2, &scratch);
 
   Bitset::AndInto(a, b, &r.and_into);
   Bitset::AndNotInto(a, b, &r.and_not_into);
@@ -97,8 +91,6 @@ KernelResults RunOracle(const Bitset& a, const Bitset& b, const Bitset& c,
     if (a.Test(i) && b.Test(i)) r.intersects = true;
     if (a.Test(i) && !b.Test(i)) r.is_subset_of = false;
   }
-  const Bitset* sets[2] = {&b, &a};
-  r.intersects_all_of = farmer::ref::IntersectsAllOf(a, sets, 2);
   r.and_into = farmer::ref::AndInto(a, b);
   r.and_not_into = farmer::ref::AndNotInto(a, b);
   r.or_and = farmer::ref::OrAnd(c, a, b);

@@ -33,12 +33,31 @@ ItemVector CommonItems(const BinaryDataset& dataset,
 }
 
 // All distinct closed itemsets with their supports, via closing every
-// non-empty row subset.
+// non-empty row subset — or, past 20 rows, every non-empty item subset:
+// each closed pair (R, I) with I non-empty is the closure of R and of I.
 std::map<Bitset, ItemVector, BitsetLess> AllClosedSets(
     const BinaryDataset& dataset) {
   const std::size_t n = dataset.num_rows();
-  FARMER_CHECK(n <= 20) << "brute force is exponential in the row count";
   std::map<Bitset, ItemVector, BitsetLess> closed;  // R(I(X)) -> I(X)
+  if (n > 20) {
+    const std::size_t num_items = dataset.num_items();
+    FARMER_CHECK(num_items <= 20)
+        << "brute force is exponential in the row and the item count";
+    for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << num_items);
+         ++mask) {
+      ItemVector subset;
+      for (std::size_t i = 0; i < num_items; ++i) {
+        if ((mask >> i) & 1) subset.push_back(static_cast<ItemId>(i));
+      }
+      Bitset support = RowSupportSet(dataset, subset);
+      if (support.None()) continue;
+      std::vector<RowId> rows;
+      support.ForEach(
+          [&](std::size_t r) { rows.push_back(static_cast<RowId>(r)); });
+      closed.emplace(std::move(support), CommonItems(dataset, rows));
+    }
+    return closed;
+  }
   for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
     std::vector<RowId> subset;
     for (std::size_t r = 0; r < n; ++r) {

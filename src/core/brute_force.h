@@ -21,7 +21,8 @@ struct ClosedItemset {
 };
 
 /// Reference implementations used as testing oracles. They enumerate all
-/// 2^n row subsets and are only feasible for small datasets (n <= ~16).
+/// 2^n row subsets, or past 20 rows all 2^items item subsets, and are only
+/// feasible for small datasets (n <= ~16 or items <= ~16).
 
 /// Every rule group of `dataset` with consequent `options.consequent`,
 /// *without* any constraint filtering or interestingness test. Sorted by

@@ -63,6 +63,22 @@ void ForEachChunk(ThreadPool* pool, std::size_t count, std::size_t chunk,
   if (pool != nullptr) pool->Wait();
 }
 
+// Index of the lowest set bit of a non-zero word.
+std::size_t LowestBit(std::uint64_t word) {
+  return static_cast<std::size_t>(__builtin_ctzll(word));
+}
+
+// True when a ∩ ¬b ∩ ¬c is non-empty; the three sets are the same size.
+bool AnyOutside(const Bitset& a, const Bitset& b, const Bitset& c) {
+  const std::uint64_t* aw = a.words().data();
+  const std::uint64_t* bw = b.words().data();
+  const std::uint64_t* cw = c.words().data();
+  for (std::size_t w = 0; w < a.words().size(); ++w) {
+    if ((aw[w] & ~bw[w] & ~cw[w]) != 0) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 FarmerMiner::FarmerMiner(const BinaryDataset& dataset,
@@ -79,8 +95,18 @@ FarmerMiner::FarmerMiner(const BinaryDataset& dataset,
     tuple_bits_[i].Resize(n_);
     for (RowId r : tt_.tuple(i)) tuple_bits_[i].Set(r);
   }
-  all_rows_.Resize(n_);
-  all_rows_.SetAll();
+  words_ = (n_ + 63) / 64;
+  root_common_.Resize(n_);
+  root_common_.SetAll();
+  root_union_.Resize(n_);
+  for (ItemId i = 0; i < tt_.num_items(); ++i) {
+    if (tt_.tuple(i).empty()) continue;
+    const Bitset& t = tuple_bits_[i];
+    root_alive_.push_back(i);
+    root_common_ &= t;
+    root_union_ |= t;
+    root_max_ep_ = std::max(root_max_ep_, t.CountPrefix(m_));
+  }
 }
 
 bool FarmerMiner::PassesThresholds(std::size_t supp, std::size_t supn) const {
@@ -351,29 +377,25 @@ bool FarmerMiner::VisitNode(SearchContext& ctx, std::size_t depth,
                             std::size_t* supp, std::size_t* supn) {
   DepthScratch& s = ctx.arena[depth];
 
-  // Step 1 — Pruning 2 (back scan, Lemma 3.6), word-parallel: a "foreign"
-  // row lies outside both the identified support and the candidate list
-  // yet occurs in every tuple — the node's whole subtree was then already
-  // enumerated under an earlier node. The foreign universe is intersected
-  // through the tuples with early exit instead of the paper's per-row
-  // pointer-list scan.
+  // Step 1 — Pruning 2 (back scan, Lemma 3.6): a "foreign" row lies
+  // outside both the identified support and the candidate list yet occurs
+  // in every tuple — the node's whole subtree was then already enumerated
+  // under an earlier node. The rows in every tuple were delivered as
+  // `common`, so the scan is one pass over its words instead of the
+  // paper's per-row pointer-list scan.
   if (options_.enable_pruning2) {
-    s.tuple_ptrs.clear();
-    for (ItemId it : s.alive) s.tuple_ptrs.push_back(&tuple_bits_[it]);
-    Bitset::AndNotInto(all_rows_, s.support, &s.scratch2);
-    s.scratch2 -= s.cand;
-    const bool duplicate_subtree = s.scratch2.IntersectsAllOf(
-        s.tuple_ptrs.data(), s.tuple_ptrs.size(), &s.scratch);
+    const bool duplicate_subtree = AnyOutside(s.common, s.support, s.cand);
     if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-      s.scratch2.CheckInvariants();
-      FARMER_CHECK(s.scratch2 ==
-                   ref::AndNotInto(ref::AndNotInto(all_rows_, s.support),
-                                   s.cand))
-          << "foreign-row universe diverged from the scalar reference";
+      std::vector<const Bitset*> tuples;
+      for (ItemId it : s.alive) tuples.push_back(&tuple_bits_[it]);
+      Bitset all_rows(n_);
+      all_rows.SetAll();
+      const Bitset foreign =
+          ref::AndNotInto(ref::AndNotInto(all_rows, s.support), s.cand);
       FARMER_CHECK(duplicate_subtree ==
-                   ref::IntersectsAllOf(s.scratch2, s.tuple_ptrs.data(),
-                                        s.tuple_ptrs.size()))
-          << "IntersectsAllOf diverged from the scalar reference";
+                   ref::IntersectsAllOf(foreign, tuples.data(),
+                                        tuples.size()))
+          << "delivered back scan diverged from the scalar reference";
     }
     if (duplicate_subtree) {
       ++ctx.stats.pruned_by_backscan;
@@ -381,7 +403,7 @@ bool FarmerMiner::VisitNode(SearchContext& ctx, std::size_t depth,
     }
   }
 
-  // Step 2 — Pruning 3 with the loose bounds (before scanning). Consequent
+  // Step 2 — Pruning 3 with the loose bounds (before absorption). Consequent
   // rows have ids < m_, so the class-C candidates are a bit prefix.
   const std::size_t ep = s.cand.CountPrefix(m_);
   if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
@@ -405,75 +427,63 @@ bool FarmerMiner::VisitNode(SearchContext& ctx, std::size_t depth,
     }
   }
 
-  // Step 3 — scan the conditional table, one word-parallel pass per tuple:
-  // `common` (rows in every tuple, the absorption set Y of Lemma 3.5 once
-  // masked to the candidates), `occupied` (candidates in >= 1 tuple, the
-  // set U), and the per-tuple maximum of class-C candidates for the tight
-  // support bound.
-  s.common = tuple_bits_[s.alive[0]];
-  s.occupied.ResetAll();
-  std::size_t max_ep_tuple = 0;
-  for (ItemId it : s.alive) {
-    const Bitset& t = tuple_bits_[it];
-    s.common &= t;
-    s.occupied.OrAnd(t, s.cand);
-    if (options_.enable_pruning3) {
-      const std::size_t ep_tuple = t.AndCountPrefix(s.cand, m_);
-      if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-        FARMER_CHECK(ep_tuple == ref::AndCountPrefix(t, s.cand, m_))
-            << "AndCountPrefix diverged from the scalar reference";
-      }
-      max_ep_tuple = std::max(max_ep_tuple, ep_tuple);
-    }
-  }
+  // Step 3 — absorption. The rows in every tuple that are still
+  // candidates form the absorption set Y of Lemma 3.5; `occupied` (the
+  // candidates in >= 1 tuple, the set U) and the per-tuple maximum of
+  // class-C candidates for the tight bound were delivered with `common`.
   if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-    // Replay the whole scan through the bit-by-bit reference kernels.
+    // Replay the delivered state through the bit-by-bit reference kernels.
     Bitset expect_common = tuple_bits_[s.alive[0]];
     Bitset expect_occupied(n_);
+    std::size_t expect_max_ep = 0;
     for (ItemId it : s.alive) {
       const Bitset& t = tuple_bits_[it];
       expect_common = ref::AndInto(expect_common, t);
       expect_occupied = ref::OrAnd(expect_occupied, t, s.cand);
+      expect_max_ep =
+          std::max(expect_max_ep, ref::AndCountPrefix(t, s.cand, m_));
     }
     s.common.CheckInvariants();
     s.occupied.CheckInvariants();
     FARMER_CHECK(s.common == expect_common)
-        << "operator&= diverged from the scalar reference";
+        << "delivered common diverged from the scalar reference";
     FARMER_CHECK(s.occupied == expect_occupied)
-        << "OrAnd diverged from the scalar reference";
+        << "delivered occupied diverged from the scalar reference";
+    FARMER_CHECK(s.max_ep == expect_max_ep)
+        << "delivered max_ep diverged from the scalar reference";
   }
-  Bitset::AndInto(s.common, s.cand, &s.scratch);  // Y: absorbable rows.
+  Bitset::AndInto(s.common, s.cand, &s.absorbed);
   if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-    FARMER_CHECK(s.scratch == ref::AndInto(s.common, s.cand))
+    FARMER_CHECK(s.absorbed == ref::AndInto(s.common, s.cand))
         << "AndInto diverged from the scalar reference";
   }
-  if (options_.enable_pruning1 && s.scratch.Any()) {
+  if (options_.enable_pruning1 && s.absorbed.Any()) {
     // Pruning 1: rows occurring in every tuple are absorbed into the
     // support right now (Lemma 3.5) instead of spawning children.
-    s.support |= s.scratch;
-    const std::size_t absorbed = s.scratch.Count();
-    const std::size_t absorbed_pos = s.scratch.CountPrefix(m_);
+    s.support |= s.absorbed;
+    const std::size_t absorbed = s.absorbed.Count();
+    const std::size_t absorbed_pos = s.absorbed.CountPrefix(m_);
     if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-      FARMER_CHECK(absorbed == ref::AndCount(s.scratch, s.scratch))
+      FARMER_CHECK(absorbed == ref::AndCount(s.absorbed, s.absorbed))
           << "Count diverged from the scalar reference";
-      FARMER_CHECK(absorbed_pos == ref::CountPrefix(s.scratch, m_))
+      FARMER_CHECK(absorbed_pos == ref::CountPrefix(s.absorbed, m_))
           << "CountPrefix diverged from the scalar reference";
     }
     *supp += absorbed_pos;
     *supn += absorbed - absorbed_pos;
     ctx.stats.rows_absorbed += absorbed;
-    Bitset::AndNotInto(s.occupied, s.scratch, &s.new_cands);
+    Bitset::AndNotInto(s.occupied, s.absorbed, &s.new_cands);
     if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-      FARMER_CHECK(s.new_cands == ref::AndNotInto(s.occupied, s.scratch))
+      FARMER_CHECK(s.new_cands == ref::AndNotInto(s.occupied, s.absorbed))
           << "AndNotInto diverged from the scalar reference";
     }
   } else {
     s.new_cands = s.occupied;
   }
 
-  // Step 4 — Pruning 3 with the tight bounds (after scanning).
+  // Step 4 — Pruning 3 with the tight bounds (after absorption).
   if (options_.enable_pruning3) {
-    const std::size_t us1 = supp_entry + max_ep_tuple;
+    const std::size_t us1 = supp_entry + s.max_ep;
     if (us1 < std::max<std::size_t>(1, options_.min_support)) {
       ++ctx.stats.pruned_by_support;
       return false;
@@ -527,6 +537,172 @@ bool FarmerMiner::VisitNode(SearchContext& ctx, std::size_t depth,
   return true;
 }
 
+void FarmerMiner::Deliver(SearchContext& ctx, std::span<const ItemId> alive,
+                          const Bitset& cands, std::size_t only_row,
+                          DepthScratch* out) const {
+  const std::size_t words = words_;
+  DepthScratch& d = *out;
+  if (d.list_begin.size() < n_) {
+    d.list_begin.resize(n_);
+    d.list_end.resize(n_);
+    d.child_max_ep.resize(n_);
+    d.child_common.resize(n_ * words);
+    d.child_union.resize(n_ * words);
+  }
+  const auto reset = [&](std::size_t r) {
+    d.list_end[r] = 0;
+    std::fill_n(d.child_common.begin() + r * words, words, ~std::uint64_t{0});
+    std::fill_n(d.child_union.begin() + r * words, words, 0);
+    d.child_max_ep[r] = 0;
+  };
+  // Folds tuple t into row r's accumulators; `ep` is |t ∩ cands ∩ (r, m)|.
+  const auto fold = [&](std::size_t r, const std::uint64_t* t,
+                        std::size_t ep) {
+    std::uint64_t* common = d.child_common.data() + r * words;
+    std::uint64_t* uni = d.child_union.data() + r * words;
+    for (std::size_t v = 0; v < words; ++v) {
+      common[v] &= t[v];
+      uni[v] |= t[v];
+    }
+    const auto ep32 = static_cast<std::uint32_t>(ep);
+    d.child_max_ep[r] = std::max(d.child_max_ep[r], ep32);
+  };
+
+  if (only_row < n_) {
+    // One receiving row: test each tuple for it, and its list is the
+    // whole buffer.
+    reset(only_row);
+    if (d.delivered.size() < alive.size()) d.delivered.resize(alive.size());
+    std::uint32_t count = 0;
+    for (ItemId it : alive) {
+      const Bitset& t = tuple_bits_[it];
+      if (!t.Test(only_row)) continue;
+      std::size_t ep = 0;
+      if (only_row < m_) {
+        const std::size_t through_row = t.AndCountPrefix(cands, only_row + 1);
+        ep = t.AndCountPrefix(cands, m_) - through_row;
+      }
+      d.delivered[count++] = it;
+      fold(only_row, t.words().data(), ep);
+    }
+    d.list_begin[only_row] = 0;
+    d.list_end[only_row] = count;
+    return;
+  }
+
+  // Pass 1 folds each tuple into its rows' accumulators, counts each row's
+  // tuples in list_end, and records the rows, tuple by tuple, in
+  // ctx.occurrence_rows (tuple i's end in ctx.occurrence_ends[i]).
+  cands.ForEach(reset);
+  std::vector<std::uint32_t>& rows = ctx.occurrence_rows;
+  std::vector<std::uint32_t>& ends = ctx.occurrence_ends;
+  if (ends.size() < alive.size()) ends.resize(alive.size());
+  const std::uint64_t* c = cands.words().data();
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    const Bitset& tuple = tuple_bits_[alive[i]];
+    const std::uint64_t* t = tuple.words().data();
+    if (rows.size() < k + 64 * words) rows.resize(2 * (k + 64 * words));
+    // t's class-C candidates ascending: the j-th of `after` has after - 1 - j
+    // of them behind it, its tight-bound count as a child.
+    std::size_t after = tuple.AndCountPrefix(cands, m_);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t x = t[w] & c[w]; x != 0; x &= x - 1) {
+        const std::size_t r = w * 64 + LowestBit(x);
+        rows[k++] = static_cast<std::uint32_t>(r);
+        ++d.list_end[r];
+        fold(r, t, r < m_ ? --after : 0);
+      }
+    }
+    ends[i] = static_cast<std::uint32_t>(k);
+  }
+
+  // Lay the lists out back to back in row order; list_end becomes each
+  // list's fill cursor.
+  std::uint32_t total = 0;
+  cands.ForEach([&](std::size_t r) {
+    const std::uint32_t count = d.list_end[r];
+    d.list_begin[r] = total;
+    d.list_end[r] = total;
+    total += count;
+  });
+  if (d.delivered.size() < total) d.delivered.resize(total);
+  // Pass 2 appends each tuple to its rows' lists, in `alive` order.
+  k = 0;
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    for (; k < ends[i]; ++k) d.delivered[d.list_end[rows[k]]++] = alive[i];
+  }
+}
+
+void FarmerMiner::EnterChild(const DepthScratch& from,
+                             std::span<const ItemId> alive,
+                             const Bitset& cands, const Bitset& support,
+                             std::size_t row, DepthScratch* child) const {
+  const std::uint32_t begin = from.list_begin[row];
+  const std::uint32_t count = from.list_end[row] - begin;
+  child->alive = std::span<const ItemId>(from.delivered).subspan(begin, count);
+  child->max_ep = from.child_max_ep[row];
+  // One pass over the words: the candidates strictly after `row`, the
+  // support plus `row`, and the delivered common and occupied sets.
+  const std::size_t words = words_;
+  const std::uint64_t* from_cand = cands.words().data();
+  const std::uint64_t* from_support = support.words().data();
+  const std::uint64_t* common = from.child_common.data() + row * words;
+  const std::uint64_t* uni = from.child_union.data() + row * words;
+  std::uint64_t* cand = child->cand.mutable_words();
+  std::uint64_t* child_support = child->support.mutable_words();
+  std::uint64_t* child_common = child->common.mutable_words();
+  std::uint64_t* occupied = child->occupied.mutable_words();
+  const std::size_t row_word = row / 64;
+  const std::uint64_t row_bit = std::uint64_t{1} << (row % 64);
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t after = w < row_word ? 0 : ~std::uint64_t{0};
+    std::uint64_t with_row = 0;
+    if (w == row_word) {
+      after = ~(row_bit | (row_bit - 1));
+      with_row = row_bit;
+    }
+    cand[w] = from_cand[w] & after;
+    child_support[w] = from_support[w] | with_row;
+    child_common[w] = common[w];
+    occupied[w] = uni[w] & cand[w];
+  }
+  if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
+    std::vector<ItemId> expect;
+    for (ItemId it : alive) {
+      if (tuple_bits_[it].Test(row)) expect.push_back(it);
+    }
+    FARMER_CHECK(std::equal(expect.begin(), expect.end(),
+                            child->alive.begin(), child->alive.end()))
+        << "row " << row << ": delivered alive list diverged from the "
+        << "parent's tuples containing it";
+    Bitset expect_cand = cands;
+    expect_cand.ResetPrefix(row + 1);
+    Bitset expect_support = support;
+    expect_support.Set(row);
+    FARMER_CHECK(child->cand == expect_cand && child->support == expect_support)
+        << "row " << row << ": child candidates or support diverged";
+  }
+}
+
+void FarmerMiner::EnterRoot(DepthScratch* root) const {
+  root->alive = root_alive_;
+  root->cand.SetAll();
+  root->support.ResetAll();
+  root->common = root_common_;
+  root->occupied = root_union_;
+  root->max_ep = root_max_ep_;
+}
+
+void FarmerMiner::EnterSplitChild(SearchContext& ctx,
+                                  const SplitSnapshot& parent,
+                                  std::size_t row, std::size_t depth) const {
+  DepthScratch& from = ctx.arena[depth - 1];
+  Deliver(ctx, parent.alive, parent.cands, row, &from);
+  EnterChild(from, parent.alive, parent.cands, parent.support, row,
+             &ctx.arena[depth]);
+}
+
 void FarmerMiner::MineIRGs(SearchContext& ctx, std::size_t depth,
                            std::size_t supp, std::size_t supn) {
   if (ctx.stats.timed_out) return;
@@ -554,12 +730,12 @@ void FarmerMiner::MineIRGs(SearchContext& ctx, std::size_t depth,
 
   // Steps 5/6 — recurse into each remaining candidate, ascending. The ORD
   // order makes the class restriction implicit: after descending into a
-  // ¬C row, every later row is ¬C as well. The child's candidate mask is
-  // maintained incrementally: clearing each visited row leaves exactly the
-  // rows after it. In parallel runs, a hungry pool converts the remaining
-  // branches into stealable tasks instead (adaptive subtree splitting).
+  // ¬C row, every later row is ¬C as well. The node delivers its tuples to
+  // all children in one pass before the first inline child. In parallel
+  // runs, a hungry pool converts the remaining branches into stealable
+  // tasks instead (adaptive subtree splitting).
   DepthScratch& child = ctx.arena[depth + 1];
-  child.cand = s.new_cands;
+  bool delivered = false;
   bool spawned_children = false;
   // The root node publishes its branch count so the progress reporter
   // can estimate completion from first-level branches finished.
@@ -576,13 +752,11 @@ void FarmerMiner::MineIRGs(SearchContext& ctx, std::size_t depth,
       spawned_children = true;
       break;
     }
-    child.cand.Reset(ri);
-    child.alive.clear();
-    for (ItemId it : s.alive) {
-      if (tuple_bits_[it].Test(ri)) child.alive.push_back(it);
+    if (!delivered) {
+      Deliver(ctx, s.alive, s.new_cands, /*only_row=*/n_, &s);
+      delivered = true;
     }
-    child.support = s.support;
-    child.support.Set(ri);
+    EnterChild(s, s.alive, s.new_cands, s.support, ri, &child);
     if (ctx.shared != nullptr) {
       ctx.path.push_back(static_cast<std::uint32_t>(ri));
     }
@@ -619,7 +793,7 @@ void FarmerMiner::SpawnRemaining(SearchContext& ctx, std::size_t depth,
                                  std::size_t supn) {
   DepthScratch& s = ctx.arena[depth];
   auto snapshot = std::make_shared<SplitSnapshot>();
-  snapshot->alive = s.alive;
+  snapshot->alive.assign(s.alive.begin(), s.alive.end());
   snapshot->cands = s.new_cands;
   snapshot->support = s.support;
   const std::size_t before = ctx.stats.tasks_spawned;
@@ -685,8 +859,7 @@ FarmerMiner::SearchContext FarmerMiner::MakeContext(CancelFlag* cancel) const {
     s.common.Resize(n_);
     s.occupied.Resize(n_);
     s.new_cands.Resize(n_);
-    s.scratch.Resize(n_);
-    s.scratch2.Resize(n_);
+    s.absorbed.Resize(n_);
   }
   ctx.deadline = options_.deadline;
   ctx.cancel = cancel;
@@ -748,27 +921,12 @@ void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
       options_.trace != nullptr ? options_.trace->NowNs() : 0;
   Stopwatch task_sw;
 
-  DepthScratch& top = ctx.arena[task.depth];
   if (task.parent == nullptr) {
-    // The root task mines from the tree root.
-    top.alive.clear();
-    for (ItemId i = 0; i < tt_.num_items(); ++i) {
-      if (!tt_.tuple(i).empty()) top.alive.push_back(i);
-    }
-    top.cand.SetAll();
-    top.support.ResetAll();
+    EnterRoot(&ctx.arena[0]);  // The root task mines from the tree root.
   } else {
-    // Derive the node inputs from the shared split snapshot, inside the
-    // worker and into preallocated storage: the spawner copied nothing.
-    const SplitSnapshot& p = *task.parent;
-    top.alive.clear();
-    for (ItemId it : p.alive) {
-      if (tuple_bits_[it].Test(task.row)) top.alive.push_back(it);
-    }
-    top.cand = p.cands;
-    top.cand.ResetPrefix(task.row + 1);  // Candidates strictly after row.
-    top.support = p.support;
-    top.support.Set(task.row);
+    // Enter from the shared split snapshot, inside the worker and into
+    // preallocated storage: the spawner copied nothing.
+    EnterSplitChild(ctx, *task.parent, task.row, task.depth);
   }
   MineIRGs(ctx, task.depth, task.supp, task.supn);
   std::vector<Segment> out = TakeSegments(ctx);
@@ -799,11 +957,7 @@ std::vector<RuleGroup> FarmerMiner::RunSearch(MinerStats* stats,
   CancelFlag cancel;
   if (pool == nullptr) {
     SearchContext ctx = MakeContext(&cancel);
-    DepthScratch& root = ctx.arena[0];
-    for (ItemId i = 0; i < tt_.num_items(); ++i) {
-      if (!tt_.tuple(i).empty()) root.alive.push_back(i);
-    }
-    root.cand.SetAll();
+    EnterRoot(&ctx.arena[0]);
     MineIRGs(ctx, 0, 0, 0);
     if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
       PublishProgress(ctx);
@@ -863,11 +1017,12 @@ std::vector<RuleGroup> FarmerMiner::RunSearch(MinerStats* stats,
   // them before the merge builds its own index.
   shared.contexts = nullptr;
   std::vector<SearchContext>().swap(contexts);
-  return MergeSegments(std::move(segments), pool);
+  return MergeSegments(std::move(segments), pool, stats);
 }
 
 std::vector<RuleGroup> FarmerMiner::MergeSegments(
-    std::vector<Segment> segments, ThreadPool* pool) const {
+    std::vector<Segment> segments, ThreadPool* pool,
+    MinerStats* stats) const {
   // The sequential miner drops candidate c_i iff an earlier *stored*
   // group dominates it (a proper row superset with confidence >= its
   // own). That is the same as "some earlier *candidate* dominates c_i":
@@ -883,6 +1038,11 @@ std::vector<RuleGroup> FarmerMiner::MergeSegments(
   // to the pool at once and is checked against the lower indices. A
   // chunk is two whole 64-candidate blocks, so the workers read only
   // blocks the control thread has finished writing.
+  //
+  // The deadline bounds the merge too. A worker samples its own copy of it
+  // after each chunk it checks; once it has fired, chunks not yet checked
+  // are skipped and the control thread stops indexing. A candidate is kept
+  // only when it was checked, so the partial result holds only IRGs.
   constexpr std::size_t kMergeChunk = 128;
   std::stable_sort(
       segments.begin(), segments.end(),
@@ -903,14 +1063,23 @@ std::vector<RuleGroup> FarmerMiner::MergeSegments(
   index.row_groups.resize((candidates + 63) / 64 * n_);
   const IndexView view(index);
   const RuleGroup* const groups = index.groups.data();
-  std::vector<std::uint8_t> keep(candidates, 1);
-  std::vector<std::vector<std::uint32_t>> queries(
-      pool != nullptr ? pool->num_threads() : 1);
+  // Report-all mode keeps every candidate without checking it.
+  std::vector<std::uint8_t> keep(candidates,
+                                 options_.report_all_rule_groups ? 1 : 0);
+  const std::size_t workers = pool != nullptr ? pool->num_threads() : 1;
+  std::vector<std::vector<std::uint32_t>> queries(workers);
+  // ExpiredNow() updates the Deadline it is called on: one copy each.
+  std::vector<Deadline> deadlines(workers, options_.deadline);
+  std::atomic<bool> expired{false};
   const auto check = [&](std::size_t begin, std::size_t end,
                          std::size_t worker) {
+    if (expired.load(std::memory_order_relaxed)) return;
     for (std::size_t i = begin; i < end; ++i) {
       keep[i] = !IsDominated(view, i, groups[i].rows, view.confs[i],
                              &queries[worker]);
+    }
+    if (deadlines[worker].ExpiredNow()) {
+      expired.store(true, std::memory_order_relaxed);
     }
   };
   std::size_t handed_out = 0;  // Candidates [0, handed_out) are queued.
@@ -939,6 +1108,7 @@ std::vector<RuleGroup> FarmerMiner::MergeSegments(
       InsertGroup(index, std::move(g));
       if (index.groups.size() % kMergeChunk == 0) {
         hand_out(index.groups.size());
+        if (expired.load(std::memory_order_relaxed)) break;
       }
     }
     // Debug mode: the candidate index must be exact after *every*
@@ -946,7 +1116,9 @@ std::vector<RuleGroup> FarmerMiner::MergeSegments(
     if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
       ValidateIndex(index);
     }
-    if (s + 1 < segments.size()) continue;
+    if (s + 1 < segments.size() && !expired.load(std::memory_order_relaxed)) {
+      continue;
+    }
     hand_out(index.groups.size());
     if (pool != nullptr) pool->Wait();
     // Compact the survivors to the front, in order.
@@ -957,7 +1129,9 @@ std::vector<RuleGroup> FarmerMiner::MergeSegments(
       ++num_kept;
     }
     index.groups.resize(num_kept);
+    break;
   }
+  if (expired.load(std::memory_order_relaxed)) stats->timed_out = true;
   if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
     ValidateGroups(index.groups);
   }
@@ -1242,12 +1416,7 @@ void FarmerMiner::EnsureFarmRoot() {
   // parallel root task): one node, then either prune or expose the
   // surviving candidates as subtrees.
   DepthScratch& root = ctx.arena[0];
-  root.alive.clear();
-  for (ItemId i = 0; i < tt_.num_items(); ++i) {
-    if (!tt_.tuple(i).empty()) root.alive.push_back(i);
-  }
-  root.cand.SetAll();
-  root.support.ResetAll();
+  EnterRoot(&root);
   ++ctx.stats.nodes_visited;
   std::size_t supp = 0;
   std::size_t supn = 0;
@@ -1260,7 +1429,7 @@ void FarmerMiner::EnsureFarmRoot() {
   fr.supn = supn;
 
   auto snapshot = std::make_shared<SplitSnapshot>();
-  snapshot->alive = root.alive;
+  snapshot->alive = root_alive_;
   snapshot->cands = root.new_cands;
   snapshot->support = root.support;
   fr.snapshot = std::move(snapshot);
@@ -1304,18 +1473,9 @@ std::vector<MineSegment> FarmerMiner::MineFarmLease(std::uint32_t row,
   BeginTask(ctx, TaskId{row}, /*lane=*/0);
   ctx.cancel = cancel;
 
-  // Derive the lease's node inputs from the root snapshot exactly as
-  // RunTask derives a spawned task's.
-  const SplitSnapshot& p = *fr.snapshot;
-  DepthScratch& top = ctx.arena[1];
-  top.alive.clear();
-  for (ItemId it : p.alive) {
-    if (tuple_bits_[it].Test(row)) top.alive.push_back(it);
-  }
-  top.cand = p.cands;
-  top.cand.ResetPrefix(row + 1);  // Candidates strictly after row.
-  top.support = p.support;
-  top.support.Set(row);
+  // Enter the lease's root from the root snapshot exactly as RunTask
+  // enters a spawned task's.
+  EnterSplitChild(ctx, *fr.snapshot, row, /*depth=*/1);
   MineIRGs(ctx, 1, fr.supp + (row < m_ ? 1 : 0),
            fr.supn + (row >= m_ ? 1 : 0));
 
@@ -1345,8 +1505,8 @@ FarmerResult FarmerMiner::FinalizeFarm(std::vector<MineSegment> segments,
   // must NOT reach this point (the coordinator dedups by lease id): two
   // copies of one segment would double-insert in report-all mode.
   MinePool pool(options_);
-  return FinalizeResult(MergeSegments(std::move(segments), pool.get()),
-                        pool.get());
+  return FinalizeResult(
+      MergeSegments(std::move(segments), pool.get(), &stats_), pool.get());
 }
 
 }  // namespace internal

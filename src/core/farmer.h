@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -82,9 +83,13 @@ namespace internal {
 /// The conditional transposed table of a node is represented word-parallel:
 /// every item keeps one immutable Bitset over all rows (built once from the
 /// transposed table), and a node is (alive item list, candidate-row mask,
-/// identified-support mask). A tuple's conditional row list is then the
-/// intersection of its full bitset with the candidate mask, computed on the
-/// fly by the bitset kernels — no per-node row vectors exist at all.
+/// identified-support mask). No node scans its own tuples: a node that
+/// survives its prunings makes one pass over its alive tuples and
+/// *delivers* each tuple t to every surviving candidate r ∈ t (LCM's
+/// occurrence deliver, applied to rows). Each child r thereby receives its
+/// alive list, the intersection and union of its tuples and its tight
+/// support bound, so its back scan, absorption and bounds cost a few
+/// words each.
 class FarmerMiner {
  public:
   FarmerMiner(const BinaryDataset& dataset, const MinerOptions& options);
@@ -144,19 +149,38 @@ class FarmerMiner {
 
  private:
   // Scratch owned by one depth of the enumeration recursion. All bitsets
-  // are sized to the row count once, so steady-state recursion allocates
-  // nothing: a node reads its inputs (alive/cand/support, written by the
-  // parent) and overwrites only its own depth's derived fields.
+  // are sized to the row count once and the delivery buffers grow to their
+  // high-water mark, so steady-state recursion allocates nothing. The node
+  // inputs are written by whoever enters the node (EnterRoot, EnterChild);
+  // the visit overwrites only the derived fields and the delivery.
   struct DepthScratch {
-    std::vector<ItemId> alive;            // Tuples of the conditional table.
-    std::vector<const Bitset*> tuple_ptrs;  // Bitset views of `alive`.
+    // ---- Node inputs.
+    // Tuples of the conditional table, in the parent's order: a view of
+    // the parent's delivery (of root_alive_ at the root).
+    std::span<const ItemId> alive;
     Bitset cand;      // Enumeration candidate rows of the node.
     Bitset support;   // Rows identified as R(I(X)) on entry (X + absorbed).
-    Bitset common;    // Rows occurring in every alive tuple (full lists).
-    Bitset occupied;  // Candidates occurring in >= 1 tuple.
+    Bitset common;    // Rows occurring in every alive tuple (full tuples).
+    Bitset occupied;  // Candidates occurring in >= 1 alive tuple.
+    // max over alive tuples t of |t ∩ cand ∩ [0, m)|: the tight support
+    // bound's per-tuple maximum.
+    std::size_t max_ep = 0;
+    // ---- Derived by the visit.
     Bitset new_cands; // Candidates surviving the scan (not absorbed).
-    Bitset scratch;   // Kernel scratch (back scan, absorption set).
-    Bitset scratch2;  // Second kernel scratch (foreign-row universe).
+    Bitset absorbed;  // Y = common ∩ cand, the absorption set.
+    // ---- The node's delivery to its children, indexed by row; filled by
+    // Deliver() for the rows it delivers to, sized to n rows on first use.
+    // Row r's alive tuples are delivered[list_begin[r], list_end[r]).
+    std::vector<ItemId> delivered;
+    std::vector<std::uint32_t> list_begin;
+    std::vector<std::uint32_t> list_end;
+    // Row r's words [r * W, (r + 1) * W): the AND and the OR of its
+    // tuples (W = words per row set).
+    std::vector<std::uint64_t> child_common;
+    std::vector<std::uint64_t> child_union;
+    // Row r's max_ep as a child: max over its tuples t of
+    // |t ∩ cands ∩ (r, m)|.
+    std::vector<std::uint32_t> child_max_ep;
   };
 
   // Groups discovered so far plus the superset index the IRG comparison
@@ -274,6 +298,10 @@ class FarmerMiner {
     std::vector<std::pair<TaskId, std::size_t>> seg_bounds;
     // Deferred step-7 records of nodes that spawned their children.
     std::vector<Segment> closers;
+    // Deliver's scratch: the receiving rows of each delivered tuple, in
+    // tuple order, and each tuple's end in that list.
+    std::vector<std::uint32_t> occurrence_rows;
+    std::vector<std::uint32_t> occurrence_ends;
   };
 
   // Recursive MineIRGs (paper Figure 5). The node's conditional table and
@@ -282,12 +310,32 @@ class FarmerMiner {
   void MineIRGs(SearchContext& ctx, std::size_t depth, std::size_t supp,
                 std::size_t supn);
 
-  // Steps 1-4 of a node visit: back scan, loose bounds, conditional-table
-  // scan (absorption), tight bounds. Returns false when the node was
+  // Steps 1-4 of a node visit: back scan, loose bounds, absorption, tight
+  // bounds, all on the delivered state. Returns false when the node was
   // pruned; otherwise arena[depth].new_cands holds the surviving
   // candidates and *supp/*supn the post-absorption counts.
   bool VisitNode(SearchContext& ctx, std::size_t depth, std::size_t* supp,
                  std::size_t* supn);
+
+  // Occurrence delivery: one pass over `alive` hands each tuple t to every
+  // row r ∈ t ∩ cands (only to `only_row` when it is < n), filling out's
+  // delivery fields for those rows. `cands` is the delivering node's
+  // surviving candidate set.
+  void Deliver(SearchContext& ctx, std::span<const ItemId> alive,
+               const Bitset& cands, std::size_t only_row,
+               DepthScratch* out) const;
+
+  // Writes the inputs of child `row` into *child from the delivery in
+  // `from`, made over the node (alive, cands, support). The child's
+  // candidates are the cands after `row`.
+  void EnterChild(const DepthScratch& from, std::span<const ItemId> alive,
+                  const Bitset& cands, const Bitset& support,
+                  std::size_t row, DepthScratch* child) const;
+
+  // Writes the tree root's inputs into *root: every non-empty tuple, all
+  // rows as candidates, nothing identified (the shared set-up of the
+  // sequential search, the root task and the farm root).
+  void EnterRoot(DepthScratch* root) const;
 
   // Step 7: applies the constraint checks and the IRG comparison against
   // ctx's store, and stores the group when it qualifies. In exact mode
@@ -315,8 +363,11 @@ class FarmerMiner {
   // (see the .cc comment). The control thread dedups and indexes the
   // candidates segment by segment, and `pool` (inline when null) checks
   // each completed chunk of them against the lower indices meanwhile.
+  // Once options_.deadline fires, the candidates not checked yet are
+  // dropped and stats->timed_out is set.
   std::vector<RuleGroup> MergeSegments(std::vector<Segment> segments,
-                                       ThreadPool* pool) const;
+                                       ThreadPool* pool,
+                                       MinerStats* stats) const;
 
   // True when all measure thresholds hold for a rule with the given exact
   // counts (x = supp + supn, y = supp).
@@ -396,8 +447,14 @@ class FarmerMiner {
   // the deferred closers (shared by RunTask and MineFarmLease).
   std::vector<Segment> TakeSegments(SearchContext& ctx) const;
 
-  // Executes one subtree task on worker `worker_id`: rebuilds the node
-  // inputs from the snapshot, mines, then publishes segments + stats.
+  // Enters the root of a split task or a farm lease at `depth`: delivers
+  // the snapshot's tuples to `row` alone, into arena[depth - 1], and
+  // enters arena[depth] from there.
+  void EnterSplitChild(SearchContext& ctx, const SplitSnapshot& parent,
+                       std::size_t row, std::size_t depth) const;
+
+  // Executes one subtree task on worker `worker_id`: enters the task's
+  // root node, mines, then publishes segments + stats.
   void RunTask(ParallelShared& shared, const SubtreeTask& task,
                std::size_t worker_id);
 
@@ -464,8 +521,13 @@ class FarmerMiner {
   // One immutable bitset per item: the rows containing it (the transposed
   // table, word-parallel form).
   std::vector<Bitset> tuple_bits_;
-  // All n_ bits set; complement base for the back scan's foreign universe.
-  Bitset all_rows_;
+  std::size_t words_ = 0;  // W: 64-bit words per row set.
+  // The root's inputs, built once: the non-empty tuples, their
+  // intersection and union, and the root's max_ep.
+  std::vector<ItemId> root_alive_;
+  Bitset root_common_;
+  Bitset root_union_;
+  std::size_t root_max_ep_ = 0;
 
   MinerStats stats_;
 };

@@ -83,13 +83,15 @@ struct MinerOptions {
   std::size_t max_split_depth = 12;
 
   /// Self-verification mode: cross-checks every word-parallel bitset
-  /// kernel call in the enumeration hot path (AndCount/AndCountPrefix/
-  /// IntersectsAllOf/AndInto/AndNotInto/OrAnd/CountPrefix) against scalar
-  /// reference implementations, re-validates the rule-group store after
-  /// every parallel segment merge (dominance soundness, distinct closed
-  /// row sets, index consistency), verifies each reported antecedent is
-  /// closed (I(R(A)) = A), checks every MineLB lower bound is a minimal
-  /// generator of its group, and asserts the thread pool drained cleanly.
+  /// kernel call in the enumeration hot path (AndInto/AndNotInto/
+  /// CountPrefix) and every node's delivered state (its alive list,
+  /// common and occupied sets, tight-bound maximum and back-scan verdict)
+  /// against scalar reference implementations, re-validates the
+  /// rule-group store after every parallel segment merge (dominance
+  /// soundness, distinct closed row sets, index consistency), verifies
+  /// each reported antecedent is closed (I(R(A)) = A), checks every MineLB
+  /// lower bound is a minimal generator of its group, and asserts the
+  /// thread pool drained cleanly.
   /// Failures fire FARMER_CHECK (fatal). Orders of magnitude slower than
   /// a plain run — for tests and debugging only, never production.
   bool verify_invariants = false;

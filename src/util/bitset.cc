@@ -72,27 +72,6 @@ std::size_t Bitset::AndCountPrefix(const Bitset& other,
   return total;
 }
 
-bool Bitset::IntersectsAllOf(const Bitset* const* sets, std::size_t count,
-                             Bitset* scratch) const {
-  *scratch = *this;
-  const simd::KernelTable& k = Kernels();
-  for (std::size_t i = 0; i < count; ++i) {
-    const Bitset& s = *sets[i];
-    if (s.words_.size() == scratch->words_.size()) {
-      // Fused pass: intersect and emptiness-test in one sweep.
-      if (k.and_into_any(scratch->words_.data(), s.words_.data(),
-                         scratch->words_.data(),
-                         scratch->words_.size()) == 0) {
-        return false;
-      }
-    } else {
-      *scratch &= s;
-      if (scratch->None()) return false;
-    }
-  }
-  return count > 0 || scratch->Any();
-}
-
 void Bitset::AndInto(const Bitset& a, const Bitset& b, Bitset* out) {
   out->num_bits_ = a.num_bits_;
   out->words_.resize(a.words_.size());

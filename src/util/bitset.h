@@ -107,15 +107,6 @@ class Bitset {
   [[nodiscard]] std::size_t AndCountPrefix(const Bitset& other,
                                            std::size_t pos_limit) const;
 
-  /// True when some bit of *this is set in every bitset of
-  /// `sets[0..count)` — i.e. *this ∩ sets[0] ∩ … ∩ sets[count-1] is
-  /// non-empty. `scratch` is borrowed for the running intersection (its
-  /// contents are clobbered); the loop exits early once the intersection
-  /// empties. With count == 0 this reduces to Any().
-  [[nodiscard]] bool IntersectsAllOf(const Bitset* const* sets,
-                                     std::size_t count,
-                                     Bitset* scratch) const;
-
   /// out = a & b without reallocating out's storage when capacities allow
   /// (the borrowed-buffer variant of operator&). a and b must be the same
   /// size.
@@ -166,9 +157,14 @@ class Bitset {
 
   /// The backing 64-bit words, bit `pos` at word `pos / 64` bit
   /// `pos % 64`, tail bits clear. For serializers (the snapshot store's
-  /// compact row-set encoding); everything else should go through the
-  /// set-algebra interface.
+  /// compact row-set encoding) and the miner's occurrence delivery;
+  /// everything else should go through the set-algebra interface.
   const WordVector& words() const { return words_; }
+
+  /// Mutable backing words, in the layout of words(). Writers must leave
+  /// every bit at positions >= size() clear. For the miner's occurrence
+  /// delivery, which builds a child's row sets word by word.
+  std::uint64_t* mutable_words() { return words_.data(); }
 
   /// "{1,4,7}"-style rendering, for test failure messages.
   std::string ToString() const;

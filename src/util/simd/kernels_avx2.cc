@@ -135,24 +135,6 @@ void AndInto(const std::uint64_t* a, const std::uint64_t* b,
   PortableAndInto(a + i, b + i, out + i, n - i);
 }
 
-std::uint64_t AndIntoAny(const std::uint64_t* a, const std::uint64_t* b,
-                         std::uint64_t* out, std::size_t n) {
-  __m256i vany = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + kStep <= n; i += kStep) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i v = _mm256_and_si256(va, vb);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-    vany = _mm256_or_si256(vany, v);
-  }
-  std::uint64_t any = _mm256_testz_si256(vany, vany) ? 0 : 1;
-  any |= PortableAndIntoAny(a + i, b + i, out + i, n - i);
-  return any;
-}
-
 void AndNotInto(const std::uint64_t* a, const std::uint64_t* b,
                 std::uint64_t* out, std::size_t n) {
   std::size_t i = 0;
@@ -212,10 +194,9 @@ void AndNotInplace(std::uint64_t* dst, const std::uint64_t* src,
 
 const KernelTable& Avx2Kernels() {
   static constexpr KernelTable kTable = {
-      Level::kAvx2, "avx2",       Count,      AndCount,
-      Intersects,   IsSubsetOf,   None,       AndInto,
-      AndIntoAny,   AndNotInto,   OrAnd,      AndInplace,
-      OrInplace,    AndNotInplace,
+      Level::kAvx2, "avx2",     Count,      AndCount,   Intersects,
+      IsSubsetOf,   None,       AndInto,    AndNotInto, OrAnd,
+      AndInplace,   OrInplace,  AndNotInplace,
   };
   return kTable;
 }

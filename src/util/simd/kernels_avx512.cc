@@ -6,9 +6,8 @@
 // F+BW baseline runs on every AVX-512 server core, unlike VPOPCNTDQ
 // (Ice Lake+), which would halve the instruction count but SIGILL on
 // Skylake-X — runtime dispatch selects tiers, not instructions, so the
-// tier must be uniform. Predicates use VPTESTMQ mask compares (F), which
-// also gives the fused any-test in AndIntoAny for free. Tails fall back
-// to the portable loops compiled under these flags.
+// tier must be uniform. Predicates use VPTESTMQ mask compares (F). Tails
+// fall back to the portable loops compiled under these flags.
 
 #include <cstddef>
 #include <cstdint>
@@ -113,22 +112,6 @@ void AndInto(const std::uint64_t* a, const std::uint64_t* b,
   PortableAndInto(a + i, b + i, out + i, n - i);
 }
 
-std::uint64_t AndIntoAny(const std::uint64_t* a, const std::uint64_t* b,
-                         std::uint64_t* out, std::size_t n) {
-  __mmask8 any = 0;
-  std::size_t i = 0;
-  for (; i + kStep <= n; i += kStep) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    const __m512i v = _mm512_and_si512(va, vb);
-    _mm512_storeu_si512(out + i, v);
-    any |= _mm512_test_epi64_mask(v, v);
-  }
-  std::uint64_t result = any != 0 ? 1 : 0;
-  result |= PortableAndIntoAny(a + i, b + i, out + i, n - i);
-  return result;
-}
-
 void AndNotInto(const std::uint64_t* a, const std::uint64_t* b,
                 std::uint64_t* out, std::size_t n) {
   std::size_t i = 0;
@@ -177,10 +160,9 @@ void AndNotInplace(std::uint64_t* dst, const std::uint64_t* src,
 
 const KernelTable& Avx512Kernels() {
   static constexpr KernelTable kTable = {
-      Level::kAvx512, "avx512",     Count,      AndCount,
-      Intersects,     IsSubsetOf,   None,       AndInto,
-      AndIntoAny,     AndNotInto,   OrAnd,      AndInplace,
-      OrInplace,      AndNotInplace,
+      Level::kAvx512, "avx512",   Count,      AndCount,   Intersects,
+      IsSubsetOf,     None,       AndInto,    AndNotInto, OrAnd,
+      AndInplace,     OrInplace,  AndNotInplace,
   };
   return kTable;
 }

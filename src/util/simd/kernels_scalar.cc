@@ -22,9 +22,9 @@ const KernelTable& ScalarKernels() {
       PortableCount,      PortableAndCount,
       PortableIntersects, PortableIsSubsetOf,
       PortableNone,       PortableAndInto,
-      PortableAndIntoAny, PortableAndNotInto,
-      PortableOrAnd,      PortableAndInplace,
-      PortableOrInplace,  PortableAndNotInplace,
+      PortableAndNotInto, PortableOrAnd,
+      PortableAndInplace, PortableOrInplace,
+      PortableAndNotInplace,
   };
   return kTable;
 }

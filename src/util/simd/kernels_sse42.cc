@@ -29,9 +29,9 @@ const KernelTable& Sse42Kernels() {
       PortableCount,      PortableAndCount,
       PortableIntersects, PortableIsSubsetOf,
       PortableNone,       PortableAndInto,
-      PortableAndIntoAny, PortableAndNotInto,
-      PortableOrAnd,      PortableAndInplace,
-      PortableOrInplace,  PortableAndNotInplace,
+      PortableAndNotInto, PortableOrAnd,
+      PortableAndInplace, PortableOrInplace,
+      PortableAndNotInplace,
   };
   return kTable;
 }

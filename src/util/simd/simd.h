@@ -49,12 +49,6 @@ struct KernelTable {
   /// out[i] = a[i] & b[i].
   void (*and_into)(const std::uint64_t* a, const std::uint64_t* b,
                    std::uint64_t* out, std::size_t n);
-  /// out[i] = a[i] & b[i]; returns the OR of all out words, so the
-  /// caller gets the emptiness test fused into the intersection pass
-  /// (the back scan's early exit).
-  std::uint64_t (*and_into_any)(const std::uint64_t* a,
-                                const std::uint64_t* b, std::uint64_t* out,
-                                std::size_t n);
   /// out[i] = a[i] & ~b[i].
   void (*and_not_into)(const std::uint64_t* a, const std::uint64_t* b,
                        std::uint64_t* out, std::size_t n);

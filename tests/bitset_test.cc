@@ -174,24 +174,6 @@ TEST(BitsetTest, AndCountAndPrefix) {
   EXPECT_EQ(a.AndCountPrefix(b, 9999), 2u);
 }
 
-TEST(BitsetTest, IntersectsAllOf) {
-  Bitset probe(100), t1(100), t2(100), t3(100), scratch;
-  probe.Set(10);
-  probe.Set(50);
-  t1.Set(10);
-  t1.Set(50);
-  t2.Set(50);
-  t2.Set(60);
-  t3.Set(10);
-  const Bitset* both[] = {&t1, &t2};
-  EXPECT_TRUE(probe.IntersectsAllOf(both, 2, &scratch));  // 50 survives.
-  const Bitset* all3[] = {&t1, &t2, &t3};
-  EXPECT_FALSE(probe.IntersectsAllOf(all3, 3, &scratch));  // Nothing in all.
-  EXPECT_TRUE(probe.IntersectsAllOf(nullptr, 0, &scratch));  // Any().
-  Bitset empty(100);
-  EXPECT_FALSE(empty.IntersectsAllOf(nullptr, 0, &scratch));
-}
-
 TEST(BitsetTest, AndIntoAndNotIntoReuseStorage) {
   Bitset a(130), b(130), out;
   a.Set(1);
@@ -257,9 +239,6 @@ TEST(BitsetTest, KernelsMatchNaiveOnRandomSets) {
     Bitset acc(size);
     acc.OrAnd(a, b);
     EXPECT_EQ(acc, a & b);
-    Bitset scratch;
-    const Bitset* sets[] = {&b};
-    EXPECT_EQ(a.IntersectsAllOf(sets, 1, &scratch), a.Intersects(b));
   }
 }
 
@@ -346,21 +325,6 @@ TEST(BitsetTest, KernelsMatchScalarReferences) {
     acc.OrAnd(a, b);
     acc.CheckInvariants();
     EXPECT_EQ(acc, ref::OrAnd(base, a, b));
-
-    // IntersectsAllOf against 0..3 random sets.
-    const std::size_t num_sets = rng.NextBelow(4);
-    std::vector<Bitset> sets(num_sets, Bitset(size));
-    std::vector<const Bitset*> ptrs;
-    for (auto& s : sets) {
-      for (std::size_t i = 0; i < size; ++i) {
-        if (rng.NextBool(0.5)) s.Set(i);
-      }
-      ptrs.push_back(&s);
-    }
-    Bitset scratch;
-    EXPECT_EQ(a.IntersectsAllOf(ptrs.data(), ptrs.size(), &scratch),
-              ref::IntersectsAllOf(a, ptrs.data(), ptrs.size()))
-        << "trial=" << trial;
   }
 }
 

@@ -103,24 +103,34 @@ BinaryDataset SmallPaperDataset(const std::string& name) {
   return disc.Apply(matrix);
 }
 
-// Replays the farm decomposition in-process: one miner plans and mines
-// every lease, a second one merges the uploads and the root's segments,
-// as a coordinator would.
-FarmerResult MineViaFarm(const BinaryDataset& dataset,
-                         const MinerOptions& opts) {
+// The farm decomposition in-process: one miner plans and mines every
+// lease. Returns the uploads plus the root's segments, and their stats.
+std::vector<MineSegment> FarmUploads(const BinaryDataset& dataset,
+                                     const MinerOptions& opts,
+                                     MinerStats* stats) {
   internal::FarmerMiner worker(dataset, opts);
   const internal::FarmerMiner::FarmPlan& plan = worker.PlanFarm();
   std::vector<MineSegment> uploads = plan.root_segments;
-  MinerStats stats = plan.root_stats;
+  *stats = plan.root_stats;
   if (!plan.root_pruned) {
     for (const std::uint32_t row : plan.lease_rows) {
       MinerStats lease_stats;
       std::vector<MineSegment> segments =
           worker.MineFarmLease(row, nullptr, &lease_stats);
       for (MineSegment& seg : segments) uploads.push_back(std::move(seg));
-      stats.MergeFrom(lease_stats);
+      stats->MergeFrom(lease_stats);
     }
   }
+  return uploads;
+}
+
+// Replays the farm decomposition in-process: FarmUploads, then a second
+// miner merges the uploads and the root's segments, as a coordinator
+// would.
+FarmerResult MineViaFarm(const BinaryDataset& dataset,
+                         const MinerOptions& opts) {
+  MinerStats stats;
+  std::vector<MineSegment> uploads = FarmUploads(dataset, opts, &stats);
   internal::FarmerMiner coordinator(dataset, opts);
   return coordinator.FinalizeFarm(std::move(uploads), stats);
 }
@@ -520,6 +530,78 @@ TEST(FarmerParallelTest, PoolPathsWithDistantDeadline) {
   ExpectIdenticalResults(want, got);
   SCOPED_TRACE("farm, 4-thread coordinator");
   ExpectIdenticalResults(want, MineViaFarm(ds, opts));
+}
+
+TEST(FarmerParallelTest, MergeDeadlineKeepsOnlyCheckedCandidates) {
+  // The complete segments of a mine, merged under a deadline that fires
+  // before or during the merge. Each worker samples the deadline after
+  // every 128-candidate chunk it checks, and every candidate not checked
+  // by then is dropped. The kept groups must be a subset of the untimed
+  // result, in its order, and the brute-force dominance oracle must find
+  // none of them dominated by a threshold-passing group.
+  const BinaryDataset ds = SmallPaperDataset("PC");
+  MinerOptions opts;
+  opts.min_support = 4;
+  opts.min_confidence = 0.9;
+  opts.mine_lower_bounds = false;
+  MinerStats stats;
+  const std::vector<MineSegment> uploads = FarmUploads(ds, opts, &stats);
+  const FarmerResult untimed =
+      internal::FarmerMiner(ds, opts).FinalizeFarm(uploads, stats);
+  ASSERT_FALSE(untimed.stats.timed_out);
+  ASSERT_GT(untimed.groups.size(), 128u);  // More than one merge chunk.
+  MinerOptions all_opts = opts;
+  all_opts.report_all_rule_groups = true;
+  const FarmerResult all = MineFarmer(ds, all_opts);
+
+  for (std::size_t threads : {1u, 4u}) {
+    // 0 stands for a deadline that has passed before the merge starts.
+    for (double seconds : {0.0, 1e-4, 1e-3}) {
+      SCOPED_TRACE("threads = " + std::to_string(threads) +
+                   ", deadline = " + std::to_string(seconds));
+      opts.num_threads = threads;
+      if (seconds > 0.0) {
+        opts.deadline = Deadline::After(seconds);
+      } else {
+        opts.deadline = Deadline::After(1e-9);
+        while (!opts.deadline.ExpiredNow()) {
+        }
+      }
+      const FarmerResult r =
+          internal::FarmerMiner(ds, opts).FinalizeFarm(uploads, stats);
+      if (seconds == 0.0) {
+        EXPECT_TRUE(r.stats.timed_out);
+        EXPECT_LT(r.groups.size(), untimed.groups.size());
+        // Inline, the merge checks one chunk, samples the deadline and
+        // stops.
+        if (threads == 1) {
+          EXPECT_LE(r.groups.size(), 128u);
+        }
+      }
+      if (!r.stats.timed_out) {
+        ExpectIdenticalResults(untimed, r);
+        continue;
+      }
+      std::size_t next = 0;
+      for (const RuleGroup& g : r.groups) {
+        while (next < untimed.groups.size() &&
+               untimed.groups[next].rows != g.rows) {
+          ++next;
+        }
+        ASSERT_LT(next, untimed.groups.size())
+            << "kept group " << g.rows.ToString()
+            << " is not in the untimed result, or out of its order";
+        EXPECT_EQ(untimed.groups[next].confidence, g.confidence);
+        ++next;
+        for (const RuleGroup& h : all.groups) {
+          EXPECT_FALSE(g.rows.IsProperSubsetOf(h.rows) &&
+                       h.confidence >= g.confidence)
+              << "kept group " << g.rows.ToString() << " is dominated by "
+              << h.rows.ToString();
+        }
+      }
+    }
+  }
 }
 
 TEST(FarmerParallelTest, MoreThreadsThanSubtrees) {

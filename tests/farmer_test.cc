@@ -4,6 +4,9 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -405,6 +408,167 @@ TEST(FarmerTest, MinedGroupsAreClosedAndSupportsExact) {
     });
     EXPECT_EQ(supp, g.support_pos);
     EXPECT_EQ(supn, g.support_neg);
+  }
+}
+
+// ---- Occurrence delivery: edge shapes and counter identity ------------
+
+// Exactly `positives` rows, spread by a shuffle, carry the consequent 1.
+// Each row copies one of kPrototypes random itemsets, flipping each item
+// with probability 0.01; positive rows favour the first half of the
+// prototypes. Near-duplicate rows keep the tree small enough for the
+// exact modes at three words of rows.
+struct DeliveryShape {
+  std::size_t rows;
+  std::size_t positives;
+  std::size_t min_support;
+};
+constexpr std::size_t kDeliveryItems = 12;
+constexpr std::size_t kPrototypes = 12;
+
+BinaryDataset DeliveryDataset(const DeliveryShape& shape) {
+  Rng rng(shape.rows * 1000 + shape.positives);
+  std::vector<ClassLabel> labels(shape.rows, 0);
+  std::fill_n(labels.begin(), shape.positives, ClassLabel{1});
+  for (std::size_t i = shape.rows; i > 1; --i) {
+    std::swap(labels[i - 1], labels[rng.NextBelow(i)]);
+  }
+  std::vector<std::vector<bool>> prototypes(kPrototypes);
+  for (auto& proto : prototypes) {
+    for (std::size_t i = 0; i < kDeliveryItems; ++i) {
+      proto.push_back(rng.NextBool(0.5));
+    }
+  }
+  BinaryDataset ds(kDeliveryItems);
+  for (std::size_t r = 0; r < shape.rows; ++r) {
+    const std::size_t p = labels[r] == 1 && rng.NextBool(0.7)
+                              ? rng.NextBelow(kPrototypes / 2)
+                              : rng.NextBelow(kPrototypes);
+    ItemVector row;
+    for (ItemId i = 0; i < kDeliveryItems; ++i) {
+      if (prototypes[p][i] != rng.NextBool(0.01)) row.push_back(i);
+    }
+    ds.AddRow(std::move(row), labels[r]);
+  }
+  return ds;
+}
+
+enum class DeliveryVariant {
+  kDefault,
+  kNoPruning1,
+  kNoPruning2,
+  kNoPruning3,
+  kTopK,  // Sequential, so the confidence floor is dynamic.
+  kChiSquare,
+};
+
+MinerOptions DeliveryOptions(const DeliveryShape& shape, DeliveryVariant v) {
+  MinerOptions opts;
+  opts.min_support = shape.min_support;
+  opts.min_confidence = 0.6;
+  opts.mine_lower_bounds = false;
+  opts.verify_invariants = true;
+  switch (v) {
+    case DeliveryVariant::kDefault:
+      break;
+    case DeliveryVariant::kNoPruning1:
+      opts.enable_pruning1 = false;
+      break;
+    case DeliveryVariant::kNoPruning2:
+      opts.enable_pruning2 = false;
+      break;
+    case DeliveryVariant::kNoPruning3:
+      opts.enable_pruning3 = false;
+      break;
+    case DeliveryVariant::kTopK:
+      opts.top_k = 10;
+      break;
+    case DeliveryVariant::kChiSquare:
+      opts.min_chi_square = 2.0;
+      break;
+  }
+  return opts;
+}
+
+// nodes_visited, pruned_by_{backscan,support,confidence,chi,extension}
+// and rows_absorbed, as the miner counted them before occurrence
+// delivery.
+struct PinnedStats {
+  std::size_t nodes, backscan, support, confidence, chi, extension, absorbed;
+};
+
+struct DeliveryCase {
+  DeliveryShape shape;
+  DeliveryVariant variant;
+  PinnedStats stats;
+};
+
+// Row sets of one, two and three words; m = n at one word, m = 64 (a word
+// boundary) at two and three.
+using V = DeliveryVariant;
+constexpr DeliveryCase kDeliveryCases[] = {
+    {{40, 17, 3}, V::kDefault, {961, 879, 16, 20, 0, 0, 180}},
+    {{40, 17, 3}, V::kNoPruning1, {5289, 4886, 20, 43, 0, 0, 0}},
+    {{40, 17, 3}, V::kNoPruning2, {10513, 0, 626, 7107, 0, 0, 11160}},
+    {{40, 17, 3}, V::kNoPruning3, {1483, 1361, 0, 0, 0, 0, 264}},
+    {{40, 17, 3}, V::kTopK, {930, 851, 16, 20, 0, 0, 180}},
+    {{40, 17, 3}, V::kChiSquare, {961, 879, 16, 20, 0, 0, 180}},
+    {{40, 40, 3}, V::kDefault, {1004, 900, 0, 0, 0, 0, 219}},
+    {{40, 40, 3}, V::kNoPruning1, {9068, 8320, 0, 0, 0, 0, 0}},
+    {{40, 40, 3}, V::kNoPruning2, {48166, 0, 11, 0, 0, 0, 75599}},
+    {{40, 40, 3}, V::kNoPruning3, {1004, 900, 0, 0, 0, 0, 219}},
+    {{40, 40, 3}, V::kTopK, {1004, 900, 0, 0, 0, 0, 219}},
+    {{40, 40, 3}, V::kChiSquare, {1, 0, 0, 0, 1, 0, 0}},
+    {{100, 64, 4}, V::kDefault, {3737, 3630, 5, 10, 0, 0, 523}},
+    {{100, 64, 4}, V::kNoPruning1, {47430, 45828, 11, 32, 0, 0, 0}},
+    {{100, 64, 4}, V::kNoPruning2, {355261, 0, 2819, 272943, 0, 0, 580483}},
+    {{100, 64, 4}, V::kNoPruning3, {3981, 3874, 0, 0, 0, 0, 535}},
+    {{100, 64, 4}, V::kTopK, {3618, 3511, 5, 22, 0, 0, 511}},
+    {{100, 64, 4}, V::kChiSquare, {3737, 3630, 5, 10, 0, 0, 523}},
+    {{150, 64, 5}, V::kDefault, {7100, 6936, 20, 70, 0, 0, 1000}},
+    {{150, 64, 5}, V::kNoPruning1, {171363, 168733, 25, 117, 0, 0, 0}},
+    {{150, 64, 5}, V::kNoPruning2, {354819, 0, 13523, 330514, 0, 0, 285062}},
+    {{150, 64, 5}, V::kNoPruning3, {12011, 11810, 0, 0, 0, 0, 1240}},
+    {{150, 64, 5}, V::kTopK, {7100, 6936, 20, 70, 0, 0, 1000}},
+    {{150, 64, 5}, V::kChiSquare, {7100, 6936, 20, 70, 0, 0, 1000}},
+};
+
+TEST(FarmerTest, DeliveryEdgeShapesMatchOracleAndPinnedCounters) {
+  for (const DeliveryCase& c : kDeliveryCases) {
+    SCOPED_TRACE("rows=" + std::to_string(c.shape.rows) +
+                 " m=" + std::to_string(c.shape.positives) + " variant=" +
+                 std::to_string(static_cast<int>(c.variant)));
+    const BinaryDataset ds = DeliveryDataset(c.shape);
+    const MinerOptions opts = DeliveryOptions(c.shape, c.variant);
+    const FarmerResult mined = MineFarmer(ds, opts);
+    ASSERT_FALSE(mined.stats.timed_out);
+    const MinerStats& st = mined.stats;
+    EXPECT_EQ(st.nodes_visited, c.stats.nodes);
+    EXPECT_EQ(st.pruned_by_backscan, c.stats.backscan);
+    EXPECT_EQ(st.pruned_by_support, c.stats.support);
+    EXPECT_EQ(st.pruned_by_confidence, c.stats.confidence);
+    EXPECT_EQ(st.pruned_by_chi, c.stats.chi);
+    EXPECT_EQ(st.pruned_by_extension, c.stats.extension);
+    EXPECT_EQ(st.rows_absorbed, c.stats.absorbed);
+
+    std::vector<RuleGroup> expected = BruteForceIRGs(ds, opts);
+    if (c.variant != DeliveryVariant::kTopK) {
+      EXPECT_EQ(Canon(mined.groups), Canon(expected));
+      continue;
+    }
+    // Top-k: the (confidence, support) pairs of the oracle's best k.
+    const auto best_first = [](const auto& a, const auto& b) { return a > b; };
+    std::vector<std::pair<double, std::size_t>> want, got;
+    for (const RuleGroup& g : expected) {
+      want.emplace_back(g.confidence, g.support_pos);
+    }
+    std::sort(want.begin(), want.end(), best_first);
+    want.resize(std::min(want.size(), opts.top_k));
+    for (const RuleGroup& g : mined.groups) {
+      got.emplace_back(g.confidence, g.support_pos);
+    }
+    std::sort(got.begin(), got.end(), best_first);
+    EXPECT_EQ(got, want);
   }
 }
 

@@ -130,10 +130,6 @@ TEST_F(SimdDispatchTest, KernelsMatchReferenceAtEveryLevel) {
       EXPECT_EQ(a.None(), ref::AndCount(a, a) == 0);
       EXPECT_EQ(a.Intersects(b), ref::AndCount(a, b) > 0);
       EXPECT_EQ(a.IsSubsetOf(b), ref::AndCount(a, b) == ref::AndCount(a, a));
-      const Bitset* sets[2] = {&b, &kc.c};
-      Bitset scratch(a.size());
-      EXPECT_EQ(a.IntersectsAllOf(sets, 2, &scratch),
-                ref::IntersectsAllOf(a, sets, 2));
       Bitset out;
       Bitset::AndInto(a, b, &out);
       EXPECT_EQ(out, ref::AndInto(a, b));

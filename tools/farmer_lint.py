@@ -133,7 +133,6 @@ BITSET_NODISCARD_METHODS = [
     "IntersectCount",
     "AndCount",
     "AndCountPrefix",
-    "IntersectsAllOf",
     "FindFirst",
     "FindNext",
     "Hash",
