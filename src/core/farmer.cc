@@ -63,6 +63,13 @@ void ForEachChunk(ThreadPool* pool, std::size_t count, std::size_t chunk,
   if (pool != nullptr) pool->Wait();
 }
 
+// The ids of the rows in `rows`, ascending, in *out.
+void RowIds(const Bitset& rows, std::vector<std::uint32_t>* out) {
+  out->clear();
+  rows.ForEach(
+      [&](std::size_t r) { out->push_back(static_cast<std::uint32_t>(r)); });
+}
+
 // Index of the lowest set bit of a non-zero word.
 std::size_t LowestBit(std::uint64_t word) {
   return static_cast<std::size_t>(__builtin_ctzll(word));
@@ -174,20 +181,17 @@ void FarmerMiner::GroupStore::Clear() {
 }
 
 bool FarmerMiner::IsDominated(const IndexView& index, std::size_t limit,
-                              const Bitset& rows, double conf,
-                              std::vector<std::uint32_t>* query) const {
+                              std::span<const std::uint32_t> query,
+                              double conf) const {
   // The IRG comparison (Definition 2.2): a more general rule group exists
   // with confidence >= ours iff some stored group's row set is a proper
   // superset of ours (antecedent closure reverses inclusion). Lemma 3.4
   // plus the post-order insert guarantees all more general groups passing
   // the constraints are already stored. Per 64-group block, the AND of
-  // our rows' words leaves exactly the stored supersets of `rows`; most
+  // the query rows' words leaves exactly the stored supersets; most
   // blocks die after one or two words. A superset is proper iff it is
   // strictly larger.
-  query->clear();
-  rows.ForEach(
-      [&](std::size_t r) { query->push_back(static_cast<std::uint32_t>(r)); });
-  const std::size_t row_count = query->size();
+  const std::size_t row_count = query.size();
   const std::uint64_t* block = index.row_groups;
   for (std::size_t base = 0; base < limit; base += 64, block += n_) {
     // Slots at or past `limit` may be indexed (the merge queries a
@@ -197,7 +201,7 @@ bool FarmerMiner::IsDominated(const IndexView& index, std::size_t limit,
         live >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << live) - 1;
     // Most blocks die within a few rows, at an unpredictable one: AND the
     // first four rows without a branch, then exit early.
-    const std::uint32_t* q = query->data();
+    const std::uint32_t* q = query.data();
     std::size_t next = 0;
     if (row_count >= 4) {
       hits &= block[q[0]] & block[q[1]] & block[q[2]] & block[q[3]];
@@ -221,13 +225,18 @@ void FarmerMiner::InsertGroup(GroupStore& store, RuleGroup g) const {
   if (store.row_groups.size() < blocks_end) {
     store.row_groups.resize(blocks_end);
   }
-  std::uint64_t* block = store.row_groups.data() + (idx / 64) * n_;
-  const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
-  g.rows.ForEach([&](std::size_t r) { block[r] |= bit; });
+  IndexRows(store.row_groups.data(), idx, g.rows);
   store.counts.push_back(
       static_cast<std::uint32_t>(g.support_pos + g.support_neg));
   store.confs.push_back(g.confidence);
   store.groups.push_back(std::move(g));
+}
+
+void FarmerMiner::IndexRows(std::uint64_t* row_groups, std::size_t idx,
+                            const Bitset& rows) const {
+  std::uint64_t* block = row_groups + (idx / 64) * n_;
+  const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+  rows.ForEach([&](std::size_t r) { block[r] |= bit; });
 }
 
 void FarmerMiner::MaybeInsertGroup(SearchContext& ctx, std::size_t depth,
@@ -249,10 +258,13 @@ void FarmerMiner::MaybeInsertGroup(SearchContext& ctx, std::size_t depth,
   if (!PassesThresholds(supp, supn)) return;
   GroupStore& store = ctx.store;
   const double conf = Confidence(supp, supp + supn);
-  if (!options_.report_all_rule_groups &&
-      IsDominated(IndexView(store), store.groups.size(), *rows, conf,
-                  &store.query_rows)) {
-    return;
+  if (!options_.report_all_rule_groups) {
+    RowIds(*rows, &store.query_rows);
+    const IndexView index{store.row_groups.data(), store.counts.data(),
+                          store.confs.data()};
+    if (IsDominated(index, store.groups.size(), store.query_rows, conf)) {
+      return;
+    }
   }
   InsertGroup(store, MakeGroup(s, *rows, supp, supn));
 
@@ -280,23 +292,25 @@ RuleGroup FarmerMiner::MakeGroup(const DepthScratch& s, const Bitset& rows,
   return g;
 }
 
-void FarmerMiner::ValidateIndex(const GroupStore& store) const {
-  const std::vector<RuleGroup>& gs = store.groups;
-  FARMER_CHECK(store.counts.size() == gs.size() &&
-               store.confs.size() == gs.size())
+template <typename GroupAt>
+void FarmerMiner::ValidateIndex(std::span<const std::uint64_t> row_groups,
+                                std::span<const std::uint32_t> counts,
+                                std::span<const double> confs, std::size_t size,
+                                const GroupAt& group_at) const {
+  FARMER_CHECK(counts.size() == size && confs.size() == size)
       << "index arrays out of step with the groups";
-  FARMER_CHECK(store.row_groups.size() % n_ == 0 &&
-               store.row_groups.size() >= (gs.size() + 63) / 64 * n_)
+  FARMER_CHECK(row_groups.size() % n_ == 0 &&
+               row_groups.size() >= (size + 63) / 64 * n_)
       << "row-group bitmap does not hold one block per 64 groups";
-  for (std::size_t i = 0; i < gs.size(); ++i) {
-    const RuleGroup& g = gs[i];
-    FARMER_CHECK(store.counts[i] == g.rows.Count())
+  for (std::size_t i = 0; i < size; ++i) {
+    const RuleGroup& g = group_at(i);
+    FARMER_CHECK(counts[i] == g.rows.Count())
         << "group " << i << ": indexed row count disagrees with its row set";
-    FARMER_CHECK(store.confs[i] == g.confidence)
+    FARMER_CHECK(confs[i] == g.confidence)
         << "group " << i << ": indexed confidence disagrees with the group";
     // The group's bit must be set on exactly its rows across its block,
     // else the dominance comparison would miss it or report a non-superset.
-    const std::uint64_t* block = store.row_groups.data() + (i / 64) * n_;
+    const std::uint64_t* block = row_groups.data() + (i / 64) * n_;
     for (std::size_t r = 0; r < n_; ++r) {
       const bool indexed = (block[r] >> (i % 64)) & 1;
       FARMER_CHECK(indexed == g.rows.Test(r))
@@ -305,13 +319,12 @@ void FarmerMiner::ValidateIndex(const GroupStore& store) const {
   }
   // Slots past the last group carry no bits: the part of its block the
   // groups leave free, and every later block.
-  const std::size_t first_free_block = gs.size() / 64;
-  for (std::size_t w = first_free_block * n_; w < store.row_groups.size();
-       ++w) {
+  const std::size_t first_free_block = size / 64;
+  for (std::size_t w = first_free_block * n_; w < row_groups.size(); ++w) {
     const std::uint64_t unused = w / n_ == first_free_block
-                                     ? ~std::uint64_t{0} << (gs.size() % 64)
+                                     ? ~std::uint64_t{0} << (size % 64)
                                      : ~std::uint64_t{0};
-    FARMER_CHECK((store.row_groups[w] & unused) == 0)
+    FARMER_CHECK((row_groups[w] & unused) == 0)
         << "row-group bitmap sets an unused slot at row " << w % n_;
   }
 }
@@ -952,6 +965,256 @@ void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
   for (Segment& seg : out) shared.segments.push_back(std::move(seg));
 }
 
+// The sequential miner drops candidate c_i iff an earlier *stored*
+// group dominates it (a proper row superset with confidence >= its own).
+// That is the same as "some earlier *candidate* dominates c_i": a
+// dropped candidate was dominated by an earlier stored one, and
+// dominance is transitive; an exact-mode duplicate has the same rows and
+// confidence as its first copy, which is the one kept. So each
+// candidate's fate depends only on the candidates before it, never on
+// another keep/drop decision, and the checks can run in any order; and
+// once a prefix of the id order is known, its candidates are final.
+//
+// The appending thread walks each batch's segments in id order, dedups
+// (exact mode) and indexes every candidate into a row->group bitmap.
+// Each completed chunk of kMergeChunk candidates goes to the pool at
+// once and is checked against the lower indices. A chunk is two whole
+// 64-candidate blocks, so the workers read only blocks the appending
+// thread has finished writing. The index lives in fixed-size slabs that
+// never move, so nothing a worker reads is reallocated under it, and a
+// merge fed in many batches allocates no more than a merge fed in one.
+//
+// The deadline bounds the merge too. A worker samples its own copy of it
+// after each chunk it checks; once it has fired, chunks not yet checked
+// are skipped and the appending thread stops indexing. A candidate is
+// kept only when it was checked, so the partial result holds only IRGs.
+class FarmerMiner::Merger {
+ public:
+  Merger(const FarmerMiner& miner, ThreadPool* pool)
+      : miner_(miner),
+        options_(miner.options_),
+        pool_(pool),
+        queries_(pool != nullptr ? pool->num_threads() : 1),
+        deadlines_(queries_.size(), options_.deadline) {
+    if (options_.metrics != nullptr) {
+      merge_segments_ = options_.metrics->GetCounter("farmer.merge.segments");
+    }
+  }
+
+  ~Merger();
+
+  Merger(const Merger&) = delete;
+  Merger& operator=(const Merger&) = delete;
+
+  // Appends `batch`, whose ids must all order after every id appended
+  // before.
+  void Append(std::vector<Segment> batch) {
+    std::stable_sort(
+        batch.begin(), batch.end(),
+        [](const Segment& a, const Segment& b) { return a.id < b.id; });
+    if (batch.empty()) return;
+    FARMER_CHECK(!appended_ || last_id_ < batch.front().id)
+        << "merge batches out of id order";
+    appended_ = true;
+    last_id_ = batch.back().id;
+    std::size_t candidates = size_;
+    for (const Segment& seg : batch) candidates += seg.groups.size();
+    ReserveSlabs(candidates);
+    // The candidates stay in the batch, so indexing them moves nothing.
+    batches_.push_back(std::move(batch));
+    for (Segment& seg : batches_.back()) {
+      if (Expired()) break;
+      // One "merge" span per segment on the control lane; the workers
+      // checking candidates emit no events.
+      obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
+                           "merge");
+      span.Arg("groups", static_cast<std::int64_t>(seg.groups.size()));
+      if (merge_segments_ != nullptr) merge_segments_->Increment();
+      for (RuleGroup& g : seg.groups) {
+        if (miner_.exact_mode_ && !seen_exact_.insert(g.rows).second) {
+          continue;
+        }
+        if (size_ % kSlabSize == 0) AddSlab();
+        Slab& slab = *slabs_.back();
+        const std::size_t j = size_ % kSlabSize;
+        miner_.IndexRows(slab.row_groups.data(), j, g.rows);
+        slab.counts[j] =
+            static_cast<std::uint32_t>(g.support_pos + g.support_neg);
+        slab.confs[j] = g.confidence;
+        slab.groups[j] = &g;
+        if (++size_ % kMergeChunk == 0) {
+          HandOut(size_);
+          if (Expired()) break;
+        }
+      }
+      // Debug mode: the candidate index must be exact after *every*
+      // segment, not only at the end.
+      if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
+        for (std::size_t s = 0; s < slabs_.size(); ++s) {
+          const Slab& slab = *slabs_[s];
+          const std::size_t fill = Fill(s);
+          const auto group_at = [&](std::size_t j) -> const RuleGroup& {
+            return *slab.groups[j];
+          };
+          miner_.ValidateIndex(slab.row_groups, {slab.counts.get(), fill},
+                               {slab.confs.get(), fill}, fill, group_at);
+        }
+      }
+    }
+  }
+
+  // Checks what is left and returns the surviving candidates, in id
+  // order.
+  std::vector<RuleGroup> Finish(MinerStats* stats) {
+    HandOut(size_);
+    if (pool_ != nullptr) pool_->Wait();
+    std::size_t num_kept = 0;
+    for (std::size_t s = 0; s < slabs_.size(); ++s) {
+      for (std::size_t j = 0; j < Fill(s); ++j) num_kept += slabs_[s]->keep[j];
+    }
+    std::vector<RuleGroup> kept;
+    kept.reserve(num_kept);
+    for (std::size_t s = 0; s < slabs_.size(); ++s) {
+      const Slab& slab = *slabs_[s];
+      for (std::size_t j = 0; j < Fill(s); ++j) {
+        if (slab.keep[j] != 0) kept.push_back(std::move(*slab.groups[j]));
+      }
+    }
+    slabs_.clear();
+    batches_.clear();
+    if (Expired()) stats->timed_out = true;
+    if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
+      miner_.ValidateGroups(kept);
+    }
+    return kept;
+  }
+
+ private:
+  static constexpr std::size_t kMergeChunk = 128;
+  // Candidates per slab: a whole number of chunks.
+  static constexpr std::size_t kSlabSize = 32 * kMergeChunk;
+
+  // The index of kSlabSize candidates: a GroupStore's layout over
+  // candidates that stay in their batch. Allocated once, so nothing the
+  // workers read changes under them but the slots being filled; the
+  // arrays past the fill are never touched.
+  struct Slab {
+    std::vector<std::uint64_t> row_groups;
+    std::unique_ptr<std::uint32_t[]> counts;
+    std::unique_ptr<double[]> confs;
+    std::unique_ptr<RuleGroup*[]> groups;
+    std::vector<std::uint8_t> keep;  // keep[j]: candidate j survives.
+
+    IndexView View() const {
+      return {row_groups.data(), counts.get(), confs.get()};
+    }
+  };
+
+  bool Expired() const { return expired_.load(std::memory_order_relaxed); }
+
+  // Candidates indexed in slab s.
+  std::size_t Fill(std::size_t s) const {
+    return std::min(kSlabSize, size_ - s * kSlabSize);
+  }
+
+  // Makes room in slabs_ for `candidates` in all, doubling at least.
+  // Workers read slabs_ while it grows, so moving it waits for them; a
+  // merge fed in one batch never waits.
+  void ReserveSlabs(std::size_t candidates) {
+    const std::size_t slabs = (candidates + kSlabSize - 1) / kSlabSize;
+    if (slabs <= slabs_.capacity()) return;
+    if (pool_ != nullptr) pool_->Wait();
+    slabs_.reserve(std::max(slabs, 2 * slabs_.capacity()));
+  }
+
+  void AddSlab() {
+    auto slab = std::make_unique<Slab>();
+    slab->row_groups.resize(kSlabSize / 64 * miner_.n_);
+    slab->counts = std::make_unique_for_overwrite<std::uint32_t[]>(kSlabSize);
+    slab->confs = std::make_unique_for_overwrite<double[]>(kSlabSize);
+    slab->groups = std::make_unique_for_overwrite<RuleGroup*[]>(kSlabSize);
+    // Report-all mode keeps every candidate without checking it.
+    slab->keep.assign(kSlabSize, options_.report_all_rule_groups ? 1 : 0);
+    slabs_.push_back(std::move(slab));
+  }
+
+  // Queues the check of candidates [handed_out_, end).
+  void HandOut(std::size_t end) {
+    if (!options_.report_all_rule_groups && end > handed_out_) {
+      if (pool_ == nullptr) {
+        Check(handed_out_, end, 0);
+      } else {
+        pool_->Submit([this, begin = handed_out_, end](std::size_t worker) {
+          Check(begin, end, worker);
+        });
+      }
+    }
+    handed_out_ = end;
+  }
+
+  // Checks candidates [begin, end) against every candidate before each.
+  void Check(std::size_t begin, std::size_t end, std::size_t worker) {
+    if (Expired()) return;
+    std::vector<std::uint32_t>& query = queries_[worker].rows;
+    for (std::size_t i = begin; i < end; ++i) {
+      Slab& own = *slabs_[i / kSlabSize];
+      const std::size_t j = i % kSlabSize;
+      RowIds(own.groups[j]->rows, &query);
+      const double conf = own.confs[j];
+      bool dominated = false;
+      for (std::size_t s = 0; s <= i / kSlabSize && !dominated; ++s) {
+        const std::size_t limit = s < i / kSlabSize ? kSlabSize : j;
+        dominated = miner_.IsDominated(slabs_[s]->View(), limit, query, conf);
+      }
+      own.keep[j] = dominated ? 0 : 1;
+    }
+    if (deadlines_[worker].ExpiredNow()) {
+      expired_.store(true, std::memory_order_relaxed);
+    }
+  }
+
+  // One worker's query rows, on a cache line of its own.
+  struct alignas(64) Query {
+    std::vector<std::uint32_t> rows;
+  };
+
+  // Read by the workers.
+  const FarmerMiner& miner_;
+  const MinerOptions& options_;
+  ThreadPool* const pool_;
+  std::vector<std::unique_ptr<Slab>> slabs_;
+  std::vector<Query> queries_;  // Per worker.
+  // ExpiredNow() updates the Deadline it is called on: one copy each.
+  std::vector<Deadline> deadlines_;
+  std::atomic<bool> expired_{false};
+  obs::Counter* merge_segments_ = nullptr;
+
+  // Written by the appending thread for every candidate, so kept off the
+  // cache lines the workers read.
+  alignas(64) std::size_t size_ = 0;  // Candidates indexed.
+  std::size_t handed_out_ = 0;  // Candidates [0, handed_out_) are queued.
+  std::vector<std::vector<Segment>> batches_;  // Hold the candidates.
+  // Row sets already indexed (exact-mode deduplication).
+  std::unordered_set<Bitset, BitsetHash> seen_exact_;
+  bool appended_ = false;
+  TaskId last_id_;  // The largest id appended so far.
+};
+
+FarmerMiner::Merger::~Merger() {
+  // Queued checks hold `this`.
+  if (pool_ != nullptr) pool_->Wait();
+}
+
+struct FarmerMiner::FarmMerge {
+  explicit FarmMerge(const FarmerMiner& miner)
+      : pool(miner.options_), merger(miner, pool.get()) {}
+
+  MinePool pool;
+  Merger merger;  // After the pool: its checks run there.
+};
+
+FarmerMiner::~FarmerMiner() = default;
+
 std::vector<RuleGroup> FarmerMiner::RunSearch(MinerStats* stats,
                                               ThreadPool* pool) {
   CancelFlag cancel;
@@ -964,7 +1227,12 @@ std::vector<RuleGroup> FarmerMiner::RunSearch(MinerStats* stats,
     }
     *stats = ctx.stats;
     if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-      ValidateIndex(ctx.store);
+      const GroupStore& store = ctx.store;
+      const auto group_at = [&](std::size_t i) -> const RuleGroup& {
+        return store.groups[i];
+      };
+      ValidateIndex(store.row_groups, store.counts, store.confs,
+                    store.groups.size(), group_at);
       ValidateGroups(ctx.store.groups);
     }
     return std::move(ctx.store.groups);
@@ -1017,125 +1285,9 @@ std::vector<RuleGroup> FarmerMiner::RunSearch(MinerStats* stats,
   // them before the merge builds its own index.
   shared.contexts = nullptr;
   std::vector<SearchContext>().swap(contexts);
-  return MergeSegments(std::move(segments), pool, stats);
-}
-
-std::vector<RuleGroup> FarmerMiner::MergeSegments(
-    std::vector<Segment> segments, ThreadPool* pool,
-    MinerStats* stats) const {
-  // The sequential miner drops candidate c_i iff an earlier *stored*
-  // group dominates it (a proper row superset with confidence >= its
-  // own). That is the same as "some earlier *candidate* dominates c_i":
-  // a dropped candidate was dominated by an earlier stored one, and
-  // dominance is transitive; an exact-mode duplicate has the same rows
-  // and confidence as its first copy, which is the one kept. So each
-  // candidate's fate depends only on the candidates before it, never on
-  // another keep/drop decision, and the checks can run in any order.
-  //
-  // The control thread walks the segments in id order, dedups (exact
-  // mode) and indexes every candidate into one row->group bitmap sized
-  // for all of them. Each completed chunk of kMergeChunk candidates goes
-  // to the pool at once and is checked against the lower indices. A
-  // chunk is two whole 64-candidate blocks, so the workers read only
-  // blocks the control thread has finished writing.
-  //
-  // The deadline bounds the merge too. A worker samples its own copy of it
-  // after each chunk it checks; once it has fired, chunks not yet checked
-  // are skipped and the control thread stops indexing. A candidate is kept
-  // only when it was checked, so the partial result holds only IRGs.
-  constexpr std::size_t kMergeChunk = 128;
-  std::stable_sort(
-      segments.begin(), segments.end(),
-      [](const Segment& a, const Segment& b) { return a.id < b.id; });
-  obs::Counter* merge_segments =
-      options_.metrics != nullptr
-          ? options_.metrics->GetCounter("farmer.merge.segments")
-          : nullptr;
-  std::size_t candidates = 0;
-  for (const Segment& seg : segments) candidates += seg.groups.size();
-  GroupStore index;
-  // Reserved and sized once, so nothing the workers read moves: they
-  // reach the candidates and the index through pointers taken here while
-  // the control thread keeps appending.
-  index.groups.reserve(candidates);
-  index.counts.reserve(candidates);
-  index.confs.reserve(candidates);
-  index.row_groups.resize((candidates + 63) / 64 * n_);
-  const IndexView view(index);
-  const RuleGroup* const groups = index.groups.data();
-  // Report-all mode keeps every candidate without checking it.
-  std::vector<std::uint8_t> keep(candidates,
-                                 options_.report_all_rule_groups ? 1 : 0);
-  const std::size_t workers = pool != nullptr ? pool->num_threads() : 1;
-  std::vector<std::vector<std::uint32_t>> queries(workers);
-  // ExpiredNow() updates the Deadline it is called on: one copy each.
-  std::vector<Deadline> deadlines(workers, options_.deadline);
-  std::atomic<bool> expired{false};
-  const auto check = [&](std::size_t begin, std::size_t end,
-                         std::size_t worker) {
-    if (expired.load(std::memory_order_relaxed)) return;
-    for (std::size_t i = begin; i < end; ++i) {
-      keep[i] = !IsDominated(view, i, groups[i].rows, view.confs[i],
-                             &queries[worker]);
-    }
-    if (deadlines[worker].ExpiredNow()) {
-      expired.store(true, std::memory_order_relaxed);
-    }
-  };
-  std::size_t handed_out = 0;  // Candidates [0, handed_out) are queued.
-  const auto hand_out = [&](std::size_t end) {
-    if (!options_.report_all_rule_groups && end > handed_out) {
-      if (pool == nullptr) {
-        check(handed_out, end, 0);
-      } else {
-        pool->Submit([&check, begin = handed_out, end](std::size_t worker) {
-          check(begin, end, worker);
-        });
-      }
-    }
-    handed_out = end;
-  };
-
-  for (std::size_t s = 0; s < segments.size(); ++s) {
-    // One "merge" span per segment on the control lane; the workers
-    // checking candidates emit no events.
-    obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
-                         "merge");
-    span.Arg("groups", static_cast<std::int64_t>(segments[s].groups.size()));
-    if (merge_segments != nullptr) merge_segments->Increment();
-    for (RuleGroup& g : segments[s].groups) {
-      if (exact_mode_ && !index.seen_exact.insert(g.rows).second) continue;
-      InsertGroup(index, std::move(g));
-      if (index.groups.size() % kMergeChunk == 0) {
-        hand_out(index.groups.size());
-        if (expired.load(std::memory_order_relaxed)) break;
-      }
-    }
-    // Debug mode: the candidate index must be exact after *every*
-    // segment, not only at the end.
-    if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-      ValidateIndex(index);
-    }
-    if (s + 1 < segments.size() && !expired.load(std::memory_order_relaxed)) {
-      continue;
-    }
-    hand_out(index.groups.size());
-    if (pool != nullptr) pool->Wait();
-    // Compact the survivors to the front, in order.
-    std::size_t num_kept = 0;
-    for (std::size_t i = 0; i < index.groups.size(); ++i) {
-      if (keep[i] == 0) continue;
-      if (num_kept != i) index.groups[num_kept] = std::move(index.groups[i]);
-      ++num_kept;
-    }
-    index.groups.resize(num_kept);
-    break;
-  }
-  if (expired.load(std::memory_order_relaxed)) stats->timed_out = true;
-  if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-    ValidateGroups(index.groups);
-  }
-  return std::move(index.groups);
+  Merger merger(*this, pool);
+  merger.Append(std::move(segments));
+  return merger.Finish(stats);
 }
 
 void FarmerMiner::PublishProgress(SearchContext& ctx) const {
@@ -1504,9 +1656,14 @@ FarmerResult FarmerMiner::FinalizeFarm(std::vector<MineSegment> segments,
   // pool's shared segment vector. Duplicate uploads of the same lease
   // must NOT reach this point (the coordinator dedups by lease id): two
   // copies of one segment would double-insert in report-all mode.
-  MinePool pool(options_);
-  return FinalizeResult(
-      MergeSegments(std::move(segments), pool.get(), &stats_), pool.get());
+  MergeFarmSegments(std::move(segments));
+  const std::unique_ptr<FarmMerge> merge = std::move(farm_merge_);
+  return FinalizeResult(merge->merger.Finish(&stats_), merge->pool.get());
+}
+
+void FarmerMiner::MergeFarmSegments(std::vector<MineSegment> batch) {
+  if (farm_merge_ == nullptr) farm_merge_ = std::make_unique<FarmMerge>(*this);
+  farm_merge_->merger.Append(std::move(batch));
 }
 
 }  // namespace internal

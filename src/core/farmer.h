@@ -93,6 +93,10 @@ namespace internal {
 class FarmerMiner {
  public:
   FarmerMiner(const BinaryDataset& dataset, const MinerOptions& options);
+  ~FarmerMiner();
+
+  FarmerMiner(const FarmerMiner&) = delete;
+  FarmerMiner& operator=(const FarmerMiner&) = delete;
 
   FarmerResult Mine();
 
@@ -103,9 +107,10 @@ class FarmerMiner {
   // candidate row surviving the root visit, plus the root's own deferred
   // step-7 closer. A worker process mines one lease with
   // MineFarmLease(); the coordinator replays every uploaded segment in
-  // id order with FinalizeFarm(). Because the decomposition and the
-  // merge are the in-process parallel ones verbatim, the farm output is
-  // bit-identical to MineFarmer() on one machine.
+  // id order with MergeFarmSegments() and FinalizeFarm(). Because the
+  // decomposition and the merge are the in-process parallel ones
+  // verbatim, the farm output is bit-identical to MineFarmer() on one
+  // machine.
 
   // The root split: which subtrees exist and what the root itself
   // contributed. Computed once, lazily, by PlanFarm().
@@ -138,12 +143,20 @@ class FarmerMiner {
                                          CancelFlag* cancel,
                                          MinerStats* stats);
 
-  // Replays `segments` (the workers' uploads plus FarmPlan's
-  // root_segments, in any order) through the deterministic id-ordered
-  // merge and finishes exactly like Mine(): top-k cut, MineLB, row-id
-  // remap, metrics export. `stats` seeds the result's counters (the
-  // caller accumulates worker stats); the root visit's stats should be
-  // included by the caller.
+  // Feeds `batch` (in any order) to the farm's deterministic id-ordered
+  // merge now, so the merge runs while later leases are still mined.
+  // Every id in `batch` must order after every id merged before: the
+  // segments of a contiguous prefix of FarmPlan::lease_rows qualify,
+  // since a lease's segment ids all start with its row. Calls (and
+  // FinalizeFarm) must not overlap, but may come from different threads.
+  void MergeFarmSegments(std::vector<MineSegment> batch);
+
+  // Merges `segments` (in any order; the rest of the workers' uploads
+  // plus FarmPlan's root_segments, all ordering after what
+  // MergeFarmSegments() merged) and finishes exactly like Mine(): top-k
+  // cut, MineLB, row-id remap, metrics export. `stats` seeds the
+  // result's counters (the caller accumulates worker stats); the root
+  // visit's stats should be included by the caller.
   FarmerResult FinalizeFarm(std::vector<MineSegment> segments,
                             MinerStats stats);
 
@@ -210,19 +223,15 @@ class FarmerMiner {
     void Clear();
   };
 
-  // Read-only view of a GroupStore's index: the data of row_groups,
-  // counts and confs. Taken from a store whose vectors no longer
-  // reallocate, it stays valid while the store keeps appending, so worker
-  // threads can query it without touching the vectors themselves.
+  // Read-only view of an index in GroupStore layout (a store's, or one
+  // slab of the merge's): the data of row_groups, counts and confs. Taken
+  // from vectors that no longer reallocate, it stays valid while they
+  // keep appending, so worker threads can query it without touching the
+  // vectors themselves.
   struct IndexView {
     const std::uint64_t* row_groups;
     const std::uint32_t* counts;
     const double* confs;
-
-    explicit IndexView(const GroupStore& store)
-        : row_groups(store.row_groups.data()),
-          counts(store.counts.data()),
-          confs(store.confs.data()) {}
   };
 
   using TaskId = farmer::TaskId;
@@ -346,39 +355,48 @@ class FarmerMiner {
 
   // The dominance half of the IRG comparison (Definition 2.2): true when
   // one of the first `limit` indexed groups has a row set properly
-  // containing `rows` with confidence >= `conf`. Uses *query as scratch,
-  // so several threads may query one index at once.
+  // containing the one whose row ids are `query` with confidence >=
+  // `conf`. Reads the index only, so several threads may query one index
+  // at once.
   bool IsDominated(const IndexView& index, std::size_t limit,
-                   const Bitset& rows, double conf,
-                   std::vector<std::uint32_t>* query) const;
+                   std::span<const std::uint32_t> query, double conf) const;
 
   // Appends `g` to the store and indexes it. Assumes dominance and
   // thresholds were already checked.
   void InsertGroup(GroupStore& store, RuleGroup g) const;
 
-  // The deterministic merge shared by RunSearch and FinalizeFarm. Its
-  // result equals replaying every segment's groups in id order through
-  // the sequential dedup -> dominance -> insert path, but it needs no
+  // Sets slot `idx`'s bit on `rows` in a row->group bitmap (GroupStore
+  // layout) that already holds the slot's block.
+  void IndexRows(std::uint64_t* row_groups, std::size_t idx,
+                 const Bitset& rows) const;
+
+  // The deterministic merge shared by RunSearch, FinalizeFarm and the
+  // farm coordinator, fed in batches of segments in id order. Its result
+  // equals replaying every segment's groups in id order through the
+  // sequential dedup -> dominance -> insert path, but it needs no
   // replay: a candidate survives iff no earlier candidate dominates it
-  // (see the .cc comment). The control thread dedups and indexes the
-  // candidates segment by segment, and `pool` (inline when null) checks
-  // each completed chunk of them against the lower indices meanwhile.
-  // Once options_.deadline fires, the candidates not checked yet are
-  // dropped and stats->timed_out is set.
-  std::vector<RuleGroup> MergeSegments(std::vector<Segment> segments,
-                                       ThreadPool* pool,
-                                       MinerStats* stats) const;
+  // (see the .cc comment). The appending thread dedups and indexes the
+  // candidates segment by segment, and the pool (inline when null)
+  // checks each completed chunk of them against the lower indices
+  // meanwhile. Once options_.deadline fires, the candidates not checked
+  // yet are dropped and Finish() sets stats->timed_out.
+  class Merger;
 
   // True when all measure thresholds hold for a rule with the given exact
   // counts (x = supp + supn, y = supp).
   bool PassesThresholds(std::size_t supp, std::size_t supn) const;
 
-  // verify_invariants: fatal-checks the store's index — the row→group
-  // bitmap holds each group's bit on exactly its rows, every slot past
-  // the last group is clear, and counts/confs mirror the groups. Runs
-  // after the sequential search and, on the merge's candidate index,
-  // after every merged segment. O(groups · rows).
-  void ValidateIndex(const GroupStore& store) const;
+  // verify_invariants: fatal-checks an index (GroupStore layout) of
+  // `size` groups, group_at(i) being the i-th — the row→group bitmap
+  // holds each group's bit on exactly its rows, every slot past the last
+  // group is clear, and counts/confs mirror the groups. Runs after the
+  // sequential search and, on the merge's candidate index, after every
+  // merged segment. O(groups · rows).
+  template <typename GroupAt>
+  void ValidateIndex(std::span<const std::uint64_t> row_groups,
+                     std::span<const std::uint32_t> counts,
+                     std::span<const double> confs, std::size_t size,
+                     const GroupAt& group_at) const;
 
   // verify_invariants: fatal-checks the final groups — every group's
   // counts/confidence agree with its row set, all row sets are distinct
@@ -501,6 +519,10 @@ class FarmerMiner {
   void EnsureFarmRoot();
 
   std::unique_ptr<FarmRoot> farm_root_;
+  // The farm's merge in progress: its pool and its Merger, created by
+  // the first MergeFarmSegments() and consumed by FinalizeFarm().
+  struct FarmMerge;
+  std::unique_ptr<FarmMerge> farm_merge_;
   // Reused across MineFarmLease calls (arena allocation is the dominant
   // per-lease cost for small subtrees).
   std::unique_ptr<SearchContext> farm_ctx_;

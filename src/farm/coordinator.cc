@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "obs/exposition.h"
 #include "obs/progress.h"
@@ -40,11 +42,13 @@ Coordinator::Coordinator(const BinaryDataset& dataset,
       loop_(Loop::Handler{nullptr,
                           [this](Conn& conn) { return HandleData(conn); },
                           [this] {
+                            ApplyVerdicts();
                             TickTimeouts();
                             PublishGauges();
                           },
                           [this](Conn& conn) {
                             RevokeHeld(conn, /*notify=*/false);
+                            ServeParked();
                           }},
             LoopMetrics(coordinator_options.metrics)) {
   if (options_.heartbeat_timeout_s <= 0) options_.heartbeat_timeout_s = 10.0;
@@ -74,10 +78,13 @@ Status Coordinator::Start() {
   // doing it here keeps the loop thread free of mining work.
   const internal::FarmerMiner::FarmPlan& plan = miner_.PlanFarm();
   lease_total_ = plan.lease_rows.size();
-  for (const std::uint32_t row : plan.lease_rows) {
-    pending_.insert(row);
-    leases_.emplace(row, LeaseState{});
+  for (std::size_t i = 0; i < lease_total_; ++i) {
+    pending_.insert(plan.lease_rows[i]);
+    leases_.emplace(plan.lease_rows[i],
+                    LeaseState{LeaseStatus::kPending, 0, i});
   }
+  lease_segments_.resize(lease_total_);
+  lease_decoded_.assign(lease_total_, 0);
   if (lease_total_ == 0) {
     MutexLock lock(mutex_);
     complete_ = true;
@@ -95,6 +102,7 @@ Status Coordinator::Start() {
     listen_fd_ = -1;
     return running;
   }
+  merge_thread_ = std::thread([this] { MergeLoop(); });
   started_.store(true, std::memory_order_release);
   return Status::Ok();
 }
@@ -132,39 +140,113 @@ std::size_t Coordinator::lease_remaining() const {
 }
 
 FarmerResult Coordinator::Finalize() {
-  // Stop the loop first: afterwards nothing can append to collected_,
-  // so the merge sees every accepted upload exactly once.
+  // Stop first: afterwards neither thread runs, and completion means
+  // every lease decoded, so the tail below is exactly what the merge
+  // thread had not merged yet.
   Stop();
-  std::vector<MineSegment> segments;
   MinerStats stats;
   {
     MutexLock lock(mutex_);
     FARMER_CHECK(complete_)
         << "Finalize() before every lease completed (call "
            "WaitForCompletion first)";
-    segments = std::move(collected_);
-    collected_.clear();
     stats = worker_stats_;
   }
+  std::vector<MineSegment> tail;
+  for (std::size_t i = merged_leases_; i < lease_total_; ++i) {
+    for (MineSegment& seg : lease_segments_[i]) tail.push_back(std::move(seg));
+  }
   const internal::FarmerMiner::FarmPlan& plan = miner_.PlanFarm();
-  for (const MineSegment& seg : plan.root_segments) segments.push_back(seg);
+  for (const MineSegment& seg : plan.root_segments) tail.push_back(seg);
   stats.MergeFrom(plan.root_stats);
-  return miner_.FinalizeFarm(std::move(segments), stats);
+  return miner_.FinalizeFarm(std::move(tail), stats);
 }
 
 void Coordinator::Stop() {
   if (!started_.load(std::memory_order_acquire)) return;
+  // The merge thread wakes the loop: join it before the loop stops.
+  {
+    MutexLock lock(mutex_);
+    merge_stop_ = true;
+  }
+  merge_cv_.NotifyAll();
+  merge_thread_.join();
   loop_.Stop();
   ::close(listen_fd_);
   listen_fd_ = -1;
   started_.store(false, std::memory_order_release);
 }
 
+void Coordinator::MergeLoop() {
+  while (true) {
+    std::vector<Upload> batch;
+    {
+      MutexLock lock(mutex_);
+      while (uploads_.empty() && !merge_stop_) merge_cv_.Wait(mutex_);
+      if (merge_stop_) return;
+      batch.swap(uploads_);
+    }
+    std::vector<Verdict> verdicts;
+    verdicts.reserve(batch.size());
+    MinerStats decoded_stats;
+    for (Upload& upload : batch) {
+      const bool ok = DecodeUpload(upload);
+      verdicts.push_back(Verdict{upload.msg.root_row, upload.worker_id, ok});
+      if (!ok) continue;
+      decoded_stats.nodes_visited += upload.msg.nodes_visited;
+      decoded_stats.mine_seconds =
+          std::max(decoded_stats.mine_seconds, upload.msg.mine_seconds);
+    }
+    {
+      MutexLock lock(mutex_);
+      worker_stats_.nodes_visited += decoded_stats.nodes_visited;
+      worker_stats_.mine_seconds =
+          std::max(worker_stats_.mine_seconds, decoded_stats.mine_seconds);
+      verdicts_.insert(verdicts_.end(), verdicts.begin(), verdicts.end());
+    }
+    loop_.Wake();
+
+    // Leases are granted in row order, so the decoded prefix of
+    // lease_rows is usually long: merge it now. Its candidates are final
+    // (Lemma 3.4: the merge is in post-order, and a candidate's fate
+    // depends only on the candidates before it).
+    std::vector<MineSegment> prefix;
+    for (; merged_leases_ < lease_total_ && lease_decoded_[merged_leases_];
+         ++merged_leases_) {
+      for (MineSegment& seg : lease_segments_[merged_leases_]) {
+        prefix.push_back(std::move(seg));
+      }
+      std::vector<MineSegment>().swap(lease_segments_[merged_leases_]);
+    }
+    if (!prefix.empty()) miner_.MergeFarmSegments(std::move(prefix));
+  }
+}
+
+bool Coordinator::DecodeUpload(Upload& upload) {
+  std::string& wire = upload.msg.segments_wire;
+  std::vector<MineSegment> segments;
+  const Status decoded = DecodeSegments(wire, dataset_.num_rows(), &segments);
+  std::string().swap(wire);
+  if (!decoded.ok()) return false;
+  // Every segment of a lease lies in the lease's subtree, so its id
+  // starts with the lease's row; anything else would break the merge's
+  // id order.
+  for (const MineSegment& seg : segments) {
+    if (seg.id.empty() || seg.id.front() != upload.msg.root_row) {
+      return false;
+    }
+  }
+  lease_segments_[upload.index] = std::move(segments);
+  lease_decoded_[upload.index] = 1;
+  return true;
+}
+
 // farmer-lint: begin(event-loop)
 // Everything between these markers runs on the coordinator's event-loop
 // thread (util/event_loop.cc) and must never block: replies are queued
-// on the connection and the loop sends them, and the merge (Finalize)
-// happens on the caller thread after the loop exits.
+// on the connection and the loop sends them. Segment decoding and the
+// merge run on the merge thread (above), the merge's tail on the caller
+// thread after the loop exits.
 
 bool Coordinator::HandleData(Conn& conn) {
   Peer& peer = conn.state;
@@ -239,6 +321,7 @@ bool Coordinator::HandleHello(Conn& conn, std::string_view payload) {
   }
   if (ack.accepted) {
     conn.state.hello_done = true;
+    conn.state.worker_id = ack.worker_id;
     Count(nullptr, &Stats::workers_seen);
   } else {
     conn.want_close = true;
@@ -251,25 +334,42 @@ bool Coordinator::HandleHello(Conn& conn, std::string_view payload) {
 bool Coordinator::HandleLeaseRequest(Conn& conn) {
   if (!conn.state.hello_done) return false;
   if (!pending_.empty()) {
-    const std::uint32_t row = *pending_.begin();
-    pending_.erase(pending_.begin());
-    LeaseState& lease = leases_[row];
-    lease.status = LeaseStatus::kLeased;
-    lease.lease_id = next_lease_id_++;
-    conn.state.held.insert(row);
-    Count(metrics_.leases_granted, &Stats::leases_granted);
-    LeaseGrantMsg grant;
-    grant.lease_id = lease.lease_id;
-    grant.root_row = row;
-    conn.Queue(EncodeLeaseGrant(grant));
+    Grant(conn);
   } else if (done_count_ == lease_total_) {
     conn.Queue(EncodeEmptyFrame(FarmOp::kDone));
   } else {
-    // Everything is leased out but not merged yet; the worker backs off
-    // and asks again (it may yet inherit a re-leased row).
-    conn.Queue(EncodeEmptyFrame(FarmOp::kNoWork));
+    // Every row is leased out or uploaded but not done yet. The request
+    // waits for a row to return to pending (ServeParked) or for the kDone
+    // broadcast; the worker never has to poll.
+    conn.state.parked = true;
   }
   return true;
+}
+
+void Coordinator::Grant(Conn& conn) {
+  const std::uint32_t row = *pending_.begin();
+  pending_.erase(pending_.begin());
+  LeaseState& lease = leases_[row];
+  lease.status = LeaseStatus::kLeased;
+  lease.lease_id = next_lease_id_++;
+  conn.state.held.insert(row);
+  // A parked worker was silent while it waited; its heartbeat deadline
+  // starts with the lease.
+  conn.state.since_frame.Restart();
+  Count(metrics_.leases_granted, &Stats::leases_granted);
+  LeaseGrantMsg grant;
+  grant.lease_id = lease.lease_id;
+  grant.root_row = row;
+  conn.Queue(EncodeLeaseGrant(grant));
+}
+
+void Coordinator::ServeParked() {
+  loop_.ForEach([this](Conn& conn) {
+    if (!conn.state.parked || pending_.empty()) return;
+    conn.state.parked = false;
+    Grant(conn);
+    loop_.Flush(conn);
+  });
 }
 
 bool Coordinator::HandleHeartbeat(Conn& conn, std::string_view payload) {
@@ -288,45 +388,66 @@ bool Coordinator::HandleResult(Conn& conn, std::string_view payload) {
   if (it == leases_.end()) return false;  // Never a lease: protocol error.
   conn.state.held.erase(msg.root_row);
 
+  LeaseState& lease = it->second;
   ResultAckMsg ack;
   ack.lease_id = msg.lease_id;
-  if (it->second.status == LeaseStatus::kDone) {
+  ack.fresh = lease.status == LeaseStatus::kPending ||
+              lease.status == LeaseStatus::kLeased;
+  if (!ack.fresh) {
     // A re-leased row finished twice (or a duplicate retransmit). First
     // upload won; this one is discarded before it can reach the merge.
-    ack.fresh = false;
     Count(metrics_.duplicate_results, &Stats::duplicate_results);
-    conn.Queue(EncodeResultAck(ack));
-    return true;
-  }
-
-  std::vector<MineSegment> segments;
-  if (!DecodeSegments(msg.segments_wire, dataset_.num_rows(), &segments)
-           .ok()) {
-    return false;
-  }
-  it->second.status = LeaseStatus::kDone;
-  pending_.erase(msg.root_row);
-  ++done_count_;
-  ack.fresh = true;
-  if (metrics_.results != nullptr) metrics_.results->Increment();
-  {
-    MutexLock lock(mutex_);
-    ++stats_.results;
-    for (MineSegment& seg : segments) {
-      collected_.push_back(std::move(seg));
+  } else {
+    // The merge thread decodes it; the row is done once its verdict is
+    // back (ApplyVerdicts).
+    pending_.erase(msg.root_row);
+    lease.status = LeaseStatus::kUploaded;
+    Upload upload{lease.index, conn.state.worker_id, std::move(msg)};
+    {
+      MutexLock lock(mutex_);
+      uploads_.push_back(std::move(upload));
     }
-    worker_stats_.nodes_visited += msg.nodes_visited;
-    if (msg.mine_seconds > worker_stats_.mine_seconds) {
-      worker_stats_.mine_seconds = msg.mine_seconds;
-    }
+    merge_cv_.NotifyOne();
   }
-  if (miner_options_.progress != nullptr) {
-    miner_options_.progress->root_done.fetch_add(1,
-                                                 std::memory_order_relaxed);
-  }
-  CheckCompletion();
   conn.Queue(EncodeResultAck(ack));
   return true;
+}
+
+void Coordinator::ApplyVerdicts() {
+  std::vector<Verdict> verdicts;
+  {
+    MutexLock lock(mutex_);
+    verdicts.swap(verdicts_);
+  }
+  if (verdicts.empty()) return;
+  bool requeued = false;
+  for (const Verdict& verdict : verdicts) {
+    LeaseState& lease = leases_[verdict.row];
+    if (!verdict.ok) {
+      // A valid frame whose segments do not decode: a protocol error, as
+      // if the loop had decoded them. The row goes back to pending, and
+      // the uploader's connection closes.
+      lease.status = LeaseStatus::kPending;
+      pending_.insert(verdict.row);
+      Count(metrics_.releases, &Stats::releases);
+      requeued = true;
+      loop_.ForEach([&](Conn& conn) {
+        if (conn.state.worker_id != verdict.worker_id) return;
+        conn.state.parked = false;
+        loop_.Close(conn);
+      });
+      continue;
+    }
+    lease.status = LeaseStatus::kDone;
+    ++done_count_;
+    Count(metrics_.results, &Stats::results);
+    if (miner_options_.progress != nullptr) {
+      miner_options_.progress->root_done.fetch_add(1,
+                                                   std::memory_order_relaxed);
+    }
+  }
+  if (requeued) ServeParked();
+  CheckCompletion();
 }
 
 void Coordinator::Count(obs::Counter* metric, std::uint64_t Stats::*stat) {
@@ -358,7 +479,8 @@ void Coordinator::RevokeHeld(Conn& conn, bool notify) {
 }
 
 void Coordinator::TickTimeouts() {
-  loop_.ForEach([this](Conn& conn) {
+  bool revoked = false;
+  loop_.ForEach([&](Conn& conn) {
     Peer& peer = conn.state;
     if (peer.hello_done && peer.held.empty()) return;
     if (peer.since_frame.ElapsedSeconds() <= options_.heartbeat_timeout_s) {
@@ -377,7 +499,9 @@ void Coordinator::TickTimeouts() {
     // and take fresh leases.
     RevokeHeld(conn, /*notify=*/true);
     loop_.Flush(conn);
+    revoked = true;
   });
+  if (revoked) ServeParked();
 }
 
 void Coordinator::CheckCompletion() {
@@ -387,6 +511,7 @@ void Coordinator::CheckCompletion() {
   // sees its socket die and wastes its reconnect budget.
   loop_.ForEach([this](Conn& conn) {
     if (!conn.state.hello_done || conn.want_close) return;
+    conn.state.parked = false;
     conn.Queue(EncodeEmptyFrame(FarmOp::kDone));
     loop_.Flush(conn);
   });

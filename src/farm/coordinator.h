@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/farmer.h"
@@ -32,23 +33,32 @@ namespace farm {
 ///
 /// Lease lifecycle:
 ///
-///   pending --grant--> leased --result--> done
-///               ^          |
-///               +--revoke--+   (holder died or missed heartbeats)
+///   pending --grant--> leased --result--> uploaded --decoded--> done
+///      ^                  |                   |
+///      +-----revoke-------+                   |
+///      +-----------malformed segments---------+
 ///
-/// A lease is revoked when its holder's connection closes or goes
-/// silent past `heartbeat_timeout_s`; the row returns to the pending
-/// set and the next hungry worker re-mines it. A revoked worker that
-/// finishes anyway may still upload; the first upload of a row wins and
-/// later ones are acked `fresh=0` and discarded — duplicates never
-/// reach the merge, which keeps it deterministic.
+/// Leases are granted in ascending row order. A lease is revoked when
+/// its holder's connection closes or goes silent past
+/// `heartbeat_timeout_s`; the row returns to the pending set and the
+/// next hungry worker re-mines it. A revoked worker that finishes
+/// anyway may still upload; the first upload of a row wins and later
+/// ones are acked `fresh=0` and discarded — duplicates never reach the
+/// merge, which keeps it deterministic. An upload whose segments do not
+/// decode closes its connection and returns its row to pending. A lease
+/// request that finds no pending row is parked, and answered when a row
+/// returns to pending or by the completion broadcast of kDone.
 ///
 /// Threading: Start() runs one util/event_loop.h EventLoop (the same
 /// loop the serve shards run on) that accepts on the farm port and owns
-/// all connection and lease state (thread-confined). The caller thread
-/// talks to it only through the mutex-guarded completion state and
-/// stats. Finalize() runs on the caller thread after completion, when
-/// the loop can no longer append segments.
+/// all connection and lease state (thread-confined), and one merge
+/// thread. The loop only frames, acks and grants: it hands each fresh
+/// upload to the merge thread, which decodes it, reports the verdict
+/// back, and feeds the merge the contiguous prefix of decoded leases
+/// (FarmerMiner::MergeFarmSegments) while later leases are still being
+/// mined. The caller thread talks to both only through the mutex-guarded
+/// state. Finalize() stops both, then merges the tail and the root's
+/// segments on the caller thread.
 class Coordinator {
  public:
   struct Options {
@@ -65,8 +75,9 @@ class Coordinator {
 
   struct Stats {
     std::uint64_t leases_granted = 0;
-    std::uint64_t releases = 0;  // Leases revoked and re-queued.
-    std::uint64_t results = 0;   // Fresh uploads accepted.
+    // Leases revoked, or whose upload did not decode, and re-queued.
+    std::uint64_t releases = 0;
+    std::uint64_t results = 0;   // Fresh uploads that decoded.
     std::uint64_t duplicate_results = 0;
     std::uint64_t workers_seen = 0;
     std::uint64_t workers_rejected = 0;
@@ -92,13 +103,14 @@ class Coordinator {
   /// True once every lease's result has been merged.
   bool complete() const;
 
-  /// Merges all uploads plus the root's own segments and finishes the
-  /// mine (top-k, MineLB, row-id remap). Call once, after
-  /// WaitForCompletion() succeeded; stops the loop first so no upload
-  /// can race the merge.
+  /// Merges the uploads the merge thread has not merged yet plus the
+  /// root's own segments, and finishes the mine (top-k, MineLB, row-id
+  /// remap). Call once, after WaitForCompletion() succeeded; stops the
+  /// loop and the merge thread first so neither can race it.
   FarmerResult Finalize();
 
-  /// Stops the event loop and closes every connection. Idempotent.
+  /// Joins the merge thread, stops the event loop and closes every
+  /// connection. Idempotent.
   void Stop();
 
   Stats stats() const;
@@ -108,7 +120,7 @@ class Coordinator {
   std::size_t lease_remaining() const;
 
  private:
-  enum class LeaseStatus : std::uint8_t { kPending, kLeased, kDone };
+  enum class LeaseStatus : std::uint8_t { kPending, kLeased, kUploaded, kDone };
 
   /// The farm protocol's per-connection state; the EventLoop keeps the
   /// transport half (buffers, out-queue).
@@ -121,6 +133,9 @@ class Coordinator {
 
     Mode mode = Mode::kPreamble;
     bool hello_done = false;
+    std::uint32_t worker_id = 0;  // Assigned by an accepted hello.
+    /// A lease request is waiting for a row (or for kDone).
+    bool parked = false;
     /// Rows this connection currently holds a lease on.
     std::set<std::uint32_t> held;
     /// Time since the last frame (any frame counts as liveness), or
@@ -134,6 +149,21 @@ class Coordinator {
   struct LeaseState {
     LeaseStatus status = LeaseStatus::kPending;
     std::uint64_t lease_id = 0;  // Current (latest) lease of the row.
+    std::size_t index = 0;       // Position in the plan's lease_rows.
+  };
+
+  /// A fresh upload on its way from the loop to the merge thread.
+  struct Upload {
+    std::size_t index = 0;        // The lease's position in lease_rows.
+    std::uint32_t worker_id = 0;  // The uploading connection.
+    ResultMsg msg;
+  };
+
+  /// The merge thread's verdict on one upload, for the loop.
+  struct Verdict {
+    std::uint32_t row = 0;
+    std::uint32_t worker_id = 0;
+    bool ok = false;  // False: its segments did not decode.
   };
 
   // ---- Event-loop callbacks (all loop-confined state below) ----
@@ -144,6 +174,12 @@ class Coordinator {
   bool HandleLeaseRequest(Conn& conn);
   bool HandleHeartbeat(Conn& conn, std::string_view payload);
   bool HandleResult(Conn& conn, std::string_view payload);
+  /// Leases the lowest pending row to `conn`.
+  void Grant(Conn& conn);
+  /// Grants pending rows to parked requests.
+  void ServeParked();
+  /// Applies the merge thread's verdicts: rows done, or back to pending.
+  void ApplyVerdicts();
   /// Bumps one stats() field and, when set, its farm.* counter.
   void Count(obs::Counter* metric, std::uint64_t Stats::*stat);
   /// Returns every lease `conn` holds to the pending set.
@@ -151,6 +187,12 @@ class Coordinator {
   void TickTimeouts();
   void CheckCompletion();
   void PublishGauges();
+
+  // ---- The merge thread ----
+  void MergeLoop();
+  /// Decodes one upload into lease_segments_; false when it is
+  /// malformed.
+  bool DecodeUpload(Upload& upload);
 
   const BinaryDataset& dataset_;
   MinerOptions miner_options_;
@@ -176,11 +218,21 @@ class Coordinator {
   CondVar done_cv_;
   bool complete_ FARMER_GUARDED_BY(mutex_) = false;
   Stats stats_ FARMER_GUARDED_BY(mutex_);
-  /// Accepted uploads, decoded. Appended by the loop, drained by
-  /// Finalize() after the loop stopped.
-  std::vector<MineSegment> collected_ FARMER_GUARDED_BY(mutex_);
-  /// Aggregated worker-side stats (nodes, mine seconds).
+  /// Aggregated worker-side stats (nodes, mine seconds) of the uploads
+  /// that decoded.
   MinerStats worker_stats_ FARMER_GUARDED_BY(mutex_);
+  /// Loop -> merge thread, and back.
+  CondVar merge_cv_;
+  std::vector<Upload> uploads_ FARMER_GUARDED_BY(mutex_);
+  std::vector<Verdict> verdicts_ FARMER_GUARDED_BY(mutex_);
+  bool merge_stop_ FARMER_GUARDED_BY(mutex_) = false;
+
+  // Merge-thread state; Finalize() reads it after the join.
+  /// Decoded segments of each lease (by lease_rows index) not merged yet.
+  std::vector<std::vector<MineSegment>> lease_segments_;
+  std::vector<std::uint8_t> lease_decoded_;
+  /// Leases [0, merged_leases_) are merged.
+  std::size_t merged_leases_ = 0;
 
   struct Metrics {
     obs::Gauge* active_workers = nullptr;
@@ -196,6 +248,8 @@ class Coordinator {
 
   std::size_t lease_total_ = 0;
 
+  /// Runs MergeLoop(); started after the loop, joined before it stops.
+  std::thread merge_thread_;
   /// Last: its thread runs the callbacks above, so it is built after and
   /// destroyed before the state they touch.
   Loop loop_;

@@ -31,9 +31,14 @@ namespace farm {
 ///                   own — a mismatched worker would upload segments
 ///                   from a different search space.
 ///   kHelloAck  (c)  accepted flag, assigned worker id, reject reason.
-///   kLeaseRequest   ask for work.
+///   kLeaseRequest   ask for work. A worker sends it right behind its
+///                   kResult, in the same write.
 ///   kLeaseGrant (c) lease id + the root row of the subtree to mine.
+///                   A request that finds no pending row waits for one
+///                   (or for kDone) instead of being answered at once.
 ///   kNoWork    (c)  every lease is out but not yet merged; retry soon.
+///                   Not sent by this coordinator; workers still honour
+///                   it, for coordinators that poll.
 ///   kDone      (c)  the mine is complete; the worker should exit.
 ///   kHeartbeat      periodic liveness + progress (lease id, nodes,
 ///                   nodes/s, deepest frontier, live group count).

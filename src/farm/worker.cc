@@ -245,12 +245,17 @@ Status Worker::RunSession(int fd, bool* done, bool* rejected) {
                                      ack.reason);
     }
 
+    const std::string lease_request = EncodeEmptyFrame(FarmOp::kLeaseRequest);
     while (!stop_requested_.load(std::memory_order_acquire)) {
+      // One send per round trip: a pending result carries the next lease
+      // request behind it, and the coordinator answers both, ack first.
       // Send failures are not handled here: the reader sees the dead
       // socket and wait_frame reports it — and a broadcast kDone that
       // raced the failed send is still drained from the inbox first.
+      const std::string& frames =
+          have_pending_result_ ? pending_result_frames_ : lease_request;
+      SendLocked(fd, frames);
       if (have_pending_result_) {
-        SendLocked(fd, pending_result_frame_);
         if (!wait_frame(&frame)) {
           return Status::IoError("connection lost awaiting result ack");
         }
@@ -270,12 +275,10 @@ Status Worker::RunSession(int fd, bool* done, bool* rejected) {
         // Duplicate (fresh == false) still completes the lease from
         // this worker's point of view: the coordinator has the row.
         have_pending_result_ = false;
-        pending_result_frame_.clear();
+        pending_result_frames_.clear();
         leases_completed_.fetch_add(1, std::memory_order_relaxed);
-        continue;
       }
 
-      SendLocked(fd, EncodeEmptyFrame(FarmOp::kLeaseRequest));
       if (!wait_frame(&frame)) {
         return Status::IoError("connection lost awaiting lease");
       }
@@ -284,6 +287,7 @@ Status Worker::RunSession(int fd, bool* done, bool* rejected) {
           *done = true;
           return Status::Ok();
         case FarmOp::kNoWork:
+          // Sent only by a coordinator that does not park requests.
           SleepSeconds(options_.no_work_poll_s);
           continue;
         case FarmOp::kLeaseGrant:
@@ -315,7 +319,12 @@ Status Worker::RunSession(int fd, bool* done, bool* rejected) {
       msg.nodes_visited = stats.nodes_visited;
       msg.mine_seconds = lease_watch.ElapsedSeconds();
       msg.segments_wire = EncodeSegments(segments);
-      pending_result_frame_ = EncodeResult(std::move(msg));
+      const std::string result_frame = EncodeResult(std::move(msg));
+      pending_result_frames_.clear();
+      pending_result_frames_.reserve(result_frame.size() +
+                                     lease_request.size());
+      pending_result_frames_ += result_frame;
+      pending_result_frames_ += lease_request;
       have_pending_result_ = true;
     }
     return Status::Ok();

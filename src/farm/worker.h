@@ -26,13 +26,13 @@ namespace farm {
 /// exponential backoff.
 ///
 /// Threads per session: the main thread runs the lease state machine
-/// (request -> mine -> upload -> ack); a reader thread drains incoming
-/// frames so a kRevoke can cancel the current mine mid-subtree; a
-/// heartbeat thread reports liveness and progress (from the miner's
-/// live ProgressCounters) while a lease is being mined. A mined result
-/// that could not be uploaded (connection died first) is kept and
-/// re-uploaded on the next session — the coordinator dedups, so
-/// retransmits are safe.
+/// (request -> mine -> upload with the next request -> ack); a reader
+/// thread drains incoming frames so a kRevoke can cancel the current
+/// mine mid-subtree; a heartbeat thread reports liveness and progress
+/// (from the miner's live ProgressCounters) while a lease is being
+/// mined. A mined result that could not be uploaded (connection died
+/// first) is kept and re-uploaded on the next session — the
+/// coordinator dedups, so retransmits are safe.
 class Worker {
  public:
   struct Options {
@@ -46,6 +46,8 @@ class Worker {
     /// Consecutive failed connect attempts before Run() gives up.
     int max_connect_attempts = 10;
     /// Wait between lease requests while the coordinator says kNoWork.
+    /// This coordinator parks a request it cannot serve instead, but an
+    /// older one still polls its workers this way.
     double no_work_poll_s = 0.1;
   };
 
@@ -117,9 +119,10 @@ class Worker {
   CondVar beat_cv_;
   bool session_over_ FARMER_GUARDED_BY(beat_mutex_) = false;
 
-  /// A result mined but not yet acked; survives reconnects.
+  /// A result mined but not yet acked, framed with the next lease
+  /// request behind it; survives reconnects.
   bool have_pending_result_ = false;
-  std::string pending_result_frame_;
+  std::string pending_result_frames_;
 };
 
 }  // namespace farm

@@ -49,8 +49,7 @@ Status EventLoopBase::Start(int listen_fd) {
 void EventLoopBase::Stop() {
   if (!thread_.joinable()) return;
   stopping_.store(true, std::memory_order_release);
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  Wake();
   // Stop() runs on the owning thread, never on the loop it joins.
   // farmer-lint: allow(event-loop-blocking) -- joins from the owner
   thread_.join();
@@ -64,6 +63,10 @@ void EventLoopBase::Adopt(int fd) {
     MutexLock lock(inbox_mutex_);
     inbox_.push_back(fd);
   }
+  Wake();
+}
+
+void EventLoopBase::Wake() {
   const std::uint64_t one = 1;
   // EAGAIN means the counter is already non-zero: the loop is waking.
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));

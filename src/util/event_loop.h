@@ -93,6 +93,10 @@ class EventLoopBase {
   /// and owns it. Thread-safe; before Start() it waits in the inbox.
   void Adopt(int fd);
 
+  /// Makes the loop run on_tick soon, from any thread. It must not race
+  /// Stop(): the caller stops calling it before the loop is stopped.
+  void Wake();
+
   // Loop thread only. Both close `conn` once the current callback
   // returns: Flush() when the socket is dead or the queue drained with
   // want_close set, Close() unconditionally.

@@ -21,6 +21,8 @@
 #include "core/farmer.h"
 #include "core/miner_options.h"
 #include "dataset/dataset.h"
+#include "dataset/discretize.h"
+#include "dataset/synthetic.h"
 #include "farm/coordinator.h"
 #include "farm/protocol.h"
 #include "farm/worker.h"
@@ -162,7 +164,7 @@ HelloMsg MakeHello(const BinaryDataset& dataset, const MinerOptions& opts) {
 // Runs `count` real workers to completion against the coordinator's
 // port; EXPECTs every Run() to come back Ok.
 void RunWorkers(const BinaryDataset& dataset, const MinerOptions& opts,
-                int port, int count) {
+                int port, int count, double no_work_poll_s = 0.02) {
   std::vector<std::thread> threads;
   std::vector<Status> statuses(static_cast<std::size_t>(count));
   std::vector<std::unique_ptr<Worker>> workers;
@@ -170,7 +172,7 @@ void RunWorkers(const BinaryDataset& dataset, const MinerOptions& opts,
     Worker::Options wopts;
     wopts.port = port;
     wopts.name = "w" + std::to_string(i);
-    wopts.no_work_poll_s = 0.02;
+    wopts.no_work_poll_s = no_work_poll_s;
     workers.push_back(std::make_unique<Worker>(dataset, opts, wopts));
   }
   for (int i = 0; i < count; ++i) {
@@ -322,6 +324,165 @@ TEST(FarmE2ETest, SilentWorkerHasLeaseRevokedAndReLeased) {
   RunWorkers(dataset, opts, coordinator.port(), 1);
   ASSERT_TRUE(coordinator.WaitForCompletion(30.0));
   ExpectIdenticalResults(single, coordinator.Finalize());
+}
+
+TEST(FarmE2ETest, ParkedWorkerInheritsRevokedLease) {
+  const BinaryDataset dataset = RandomDataset(16, 20, 0.3, 29);
+  MinerOptions opts;
+  opts.min_support = 2;
+  const FarmerResult single = MineFarmer(dataset, opts);
+
+  Coordinator::Options copts;
+  copts.heartbeat_timeout_s = 0.5;
+  Coordinator coordinator(dataset, opts, copts);
+  ASSERT_TRUE(coordinator.Start().ok());
+  ASSERT_GT(coordinator.lease_total(), 0u);
+
+  // A raw client takes every lease and goes silent, so the worker's
+  // request finds no pending row and parks. The heartbeat revoke returns
+  // the rows; the parked request must get them then, not after a 10 s
+  // kNoWork poll.
+  RawClient hog;
+  ASSERT_TRUE(hog.Connect(coordinator.port()));
+  ASSERT_TRUE(hog.Handshake(MakeHello(dataset, opts)).accepted);
+  for (std::size_t i = 0; i < coordinator.lease_total(); ++i) {
+    hog.RequestLease();
+  }
+  const Stopwatch watch;
+  RunWorkers(dataset, opts, coordinator.port(), 1, /*no_work_poll_s=*/10.0);
+  EXPECT_LT(watch.ElapsedSeconds(), 5.0);
+  ASSERT_TRUE(coordinator.WaitForCompletion(30.0));
+  ExpectIdenticalResults(single, coordinator.Finalize());
+  EXPECT_GE(coordinator.stats().releases, coordinator.lease_total());
+}
+
+TEST(FarmE2ETest, IdleWorkerSeesDoneWithoutPolling) {
+  // More workers than the last leases need: the idle ones wait in a
+  // parked request, and the completion broadcast answers it. A worker
+  // that polled would sleep 10 s before it saw kDone.
+  const BinaryDataset dataset = RandomDataset(14, 20, 0.3, 31);
+  MinerOptions opts;
+  opts.min_support = 2;
+
+  Coordinator coordinator(dataset, opts, Coordinator::Options{});
+  ASSERT_TRUE(coordinator.Start().ok());
+  const Stopwatch watch;
+  RunWorkers(dataset, opts, coordinator.port(), 3, /*no_work_poll_s=*/10.0);
+  EXPECT_LT(watch.ElapsedSeconds(), 5.0);
+  ASSERT_TRUE(coordinator.WaitForCompletion(30.0));
+  ExpectIdenticalResults(MineFarmer(dataset, opts), coordinator.Finalize());
+}
+
+TEST(FarmE2ETest, MalformedUploadClosesAndReleasesTheRow) {
+  // A kResult frame with a valid CRC whose segments are not a lease's:
+  // the merge thread rejects it, the uploader's connection closes and
+  // the row goes back to pending before it counts as done.
+  const BinaryDataset dataset = RandomDataset(16, 20, 0.35, 37);
+  MinerOptions opts;
+  opts.min_support = 2;
+  const FarmerResult single = MineFarmer(dataset, opts);
+
+  Coordinator coordinator(dataset, opts, Coordinator::Options{});
+  ASSERT_TRUE(coordinator.Start().ok());
+  ASSERT_GE(coordinator.lease_total(), 2u);
+  internal::FarmerMiner miner(dataset, opts);
+  const internal::FarmerMiner::FarmPlan& plan = miner.PlanFarm();
+
+  const auto upload = [&](bool other_rows_segments) {
+    RawClient raw;
+    ASSERT_TRUE(raw.Connect(coordinator.port()));
+    ASSERT_TRUE(raw.Handshake(MakeHello(dataset, opts)).accepted);
+    const LeaseGrantMsg grant = raw.RequestLease();
+    ResultMsg result;
+    result.lease_id = grant.lease_id;
+    result.root_row = grant.root_row;
+    if (other_rows_segments) {
+      // Well-formed segments, but from another lease's subtree.
+      const std::size_t other = grant.root_row == plan.lease_rows[0] ? 1 : 0;
+      result.segments_wire = EncodeSegments(
+          miner.MineFarmLease(plan.lease_rows[other], nullptr, nullptr));
+    } else {
+      result.segments_wire = "not segments";
+    }
+    ASSERT_TRUE(raw.Send(EncodeResult(result)));
+    EXPECT_TRUE(raw.WaitForEof(10.0));
+  };
+  {
+    SCOPED_TRACE("undecodable segments");
+    upload(false);
+  }
+  {
+    SCOPED_TRACE("segments of another lease");
+    upload(true);
+  }
+  EXPECT_EQ(coordinator.stats().results, 0u);
+
+  RunWorkers(dataset, opts, coordinator.port(), 1);
+  ASSERT_TRUE(coordinator.WaitForCompletion(30.0));
+  ExpectIdenticalResults(single, coordinator.Finalize());
+  const Coordinator::Stats stats = coordinator.stats();
+  EXPECT_EQ(stats.results, coordinator.lease_total());
+  EXPECT_EQ(stats.releases, 2u);
+}
+
+TEST(FarmE2ETest, MergeDeadlineKeepsOnlyCheckedCandidates) {
+  // The coordinator-path twin of the FarmerParallelTest case: the
+  // coordinator's own deadline (the workers have none) has fired before
+  // its merge thread merges the first upload. Each check samples the
+  // deadline after its 128-candidate chunk and the candidates not
+  // checked by then are dropped, so the result is a subset of the
+  // untimed one, in its order, and holds only IRGs.
+  const ExpressionMatrix matrix =
+      GenerateSynthetic(PaperDatasetSpec("PC", /*column_scale=*/0.01));
+  const BinaryDataset dataset =
+      Discretization::FitEqualDepth(matrix, 10).Apply(matrix);
+  MinerOptions opts;
+  opts.min_support = 4;
+  opts.min_confidence = 0.9;
+  opts.mine_lower_bounds = false;
+  const FarmerResult untimed = MineFarmer(dataset, opts);
+  ASSERT_GT(untimed.groups.size(), 128u);  // More than one merge chunk.
+  MinerOptions all_opts = opts;
+  all_opts.report_all_rule_groups = true;
+  const FarmerResult all = MineFarmer(dataset, all_opts);
+
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("coordinator threads = " + std::to_string(threads));
+    MinerOptions timed = opts;
+    timed.num_threads = threads;
+    timed.deadline = Deadline::After(1e-9);
+    while (!timed.deadline.ExpiredNow()) {
+    }
+    Coordinator coordinator(dataset, timed, Coordinator::Options{});
+    ASSERT_TRUE(coordinator.Start().ok());
+    RunWorkers(dataset, opts, coordinator.port(), 2);
+    ASSERT_TRUE(coordinator.WaitForCompletion(30.0));
+    const FarmerResult r = coordinator.Finalize();
+    EXPECT_TRUE(r.stats.timed_out);
+    EXPECT_LT(r.groups.size(), untimed.groups.size());
+    // Inline, the merge checks one chunk, samples the deadline and stops.
+    if (threads == 1) {
+      EXPECT_LE(r.groups.size(), 128u);
+    }
+    std::size_t next = 0;
+    for (const RuleGroup& g : r.groups) {
+      while (next < untimed.groups.size() &&
+             untimed.groups[next].rows != g.rows) {
+        ++next;
+      }
+      ASSERT_LT(next, untimed.groups.size())
+          << "kept group " << g.rows.ToString()
+          << " is not in the untimed result, or out of its order";
+      EXPECT_EQ(untimed.groups[next].confidence, g.confidence);
+      ++next;
+      for (const RuleGroup& h : all.groups) {
+        EXPECT_FALSE(g.rows.IsProperSubsetOf(h.rows) &&
+                     h.confidence >= g.confidence)
+            << "kept group " << g.rows.ToString() << " is dominated by "
+            << h.rows.ToString();
+      }
+    }
+  }
 }
 
 TEST(FarmE2ETest, MismatchedWorkersAreRejected) {

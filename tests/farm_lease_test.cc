@@ -1,7 +1,9 @@
 // The farm decomposition's determinism contract: PlanFarm +
 // MineFarmLease over every lease + FinalizeFarm must be bit-identical
 // to a single-process MineFarmer() run — same groups, same order, same
-// floats — for any option set and any upload order.
+// floats — for any option set and any upload order, and whether the
+// coordinator merges the uploads at once or in prefix batches
+// (MergeFarmSegments) as they arrive.
 
 #include <algorithm>
 #include <cstddef>
@@ -13,6 +15,8 @@
 #include "core/farmer.h"
 #include "core/miner_options.h"
 #include "dataset/dataset.h"
+#include "dataset/discretize.h"
+#include "dataset/synthetic.h"
 #include "test_util.h"
 
 namespace farmer {
@@ -77,6 +81,41 @@ FarmerResult MineViaFarm(const BinaryDataset& dataset,
   return coordinator.FinalizeFarm(std::move(uploads), stats);
 }
 
+// Merges the leases the way the coordinator does: contiguous prefixes of
+// lease_rows through MergeFarmSegments, each batch shuffled, split at
+// points drawn from `split_seed`, then the rest and the root's segments
+// through FinalizeFarm. The coordinator miner runs `threads` threads.
+FarmerResult MineViaFarmInBatches(const BinaryDataset& dataset,
+                                  MinerOptions opts, std::size_t threads,
+                                  std::uint64_t split_seed) {
+  opts.num_threads = 1;
+  internal::FarmerMiner worker(dataset, opts);
+  const internal::FarmerMiner::FarmPlan& plan = worker.PlanFarm();
+  opts.num_threads = threads;
+  internal::FarmerMiner coordinator(dataset, opts);
+  const internal::FarmerMiner::FarmPlan& cplan = coordinator.PlanFarm();
+  MinerStats stats = cplan.root_stats;
+  std::mt19937_64 rng(split_seed);
+  std::vector<MineSegment> batch;
+  if (!plan.root_pruned) {
+    for (const std::uint32_t row : plan.lease_rows) {
+      MinerStats lease_stats;
+      std::vector<MineSegment> segments =
+          worker.MineFarmLease(row, nullptr, &lease_stats);
+      for (MineSegment& seg : segments) batch.push_back(std::move(seg));
+      stats.MergeFrom(lease_stats);
+      if (rng() % 3 == 0) {
+        std::shuffle(batch.begin(), batch.end(), rng);
+        coordinator.MergeFarmSegments(std::move(batch));
+        batch.clear();
+      }
+    }
+  }
+  for (const MineSegment& seg : cplan.root_segments) batch.push_back(seg);
+  std::shuffle(batch.begin(), batch.end(), rng);
+  return coordinator.FinalizeFarm(std::move(batch), stats);
+}
+
 void ExpectFarmInvariant(const BinaryDataset& dataset, MinerOptions opts,
                          bool expect_same_nodes = true) {
   opts.num_threads = 1;
@@ -95,6 +134,18 @@ void ExpectFarmInvariant(const BinaryDataset& dataset, MinerOptions opts,
       EXPECT_EQ(single.stats.nodes_visited, farm.stats.nodes_visited);
     } else {
       EXPECT_GE(farm.stats.nodes_visited, single.stats.nodes_visited);
+    }
+  }
+  const FarmerResult one_shot = MineViaFarm(dataset, opts, 0);
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const std::uint64_t split_seed : {1ull, 2ull, 3ull}) {
+      SCOPED_TRACE("incremental merge, " + std::to_string(threads) +
+                   " coordinator threads, split seed " +
+                   std::to_string(split_seed));
+      const FarmerResult farm =
+          MineViaFarmInBatches(dataset, opts, threads, split_seed);
+      ExpectIdenticalResults(one_shot, farm);
+      EXPECT_EQ(one_shot.stats.nodes_visited, farm.stats.nodes_visited);
     }
   }
 }
@@ -142,10 +193,35 @@ TEST(FarmLeaseTest, ChiSquareAndNoLowerBounds) {
   ExpectFarmInvariant(RandomDataset(14, 22, 0.3, 31), opts);
 }
 
+TEST(FarmLeaseTest, LargeStoreSpansMergeChunksAndSlabs) {
+  // Thousands of candidates: many 128-candidate check chunks and several
+  // index slabs, with batch boundaries falling inside them.
+  const ExpressionMatrix matrix =
+      GenerateSynthetic(PaperDatasetSpec("PC", /*column_scale=*/0.01));
+  const BinaryDataset dataset =
+      Discretization::FitEqualDepth(matrix, 10).Apply(matrix);
+  MinerOptions opts;
+  opts.min_support = 3;
+  opts.min_confidence = 0.6;
+  opts.mine_lower_bounds = false;
+  ASSERT_GT(MineFarmer(dataset, opts).groups.size(), 8192u);
+  ExpectFarmInvariant(dataset, opts);
+}
+
+TEST(FarmLeaseTest, ExactMode) {
+  // Pruning 1 off: the same group is reached at several nodes, and the
+  // merge dedups it on the row set across segments and batches.
+  MinerOptions opts;
+  opts.min_support = 2;
+  opts.min_confidence = 0.6;
+  opts.enable_pruning1 = false;
+  ExpectFarmInvariant(RandomDataset(13, 20, 0.35, 41), opts);
+}
+
 TEST(FarmLeaseTest, VerifyInvariantsMode) {
   // The miner's full self-verification (closure proofs, store
-  // re-validation after every merged segment) must hold on the farm
-  // path too.
+  // re-validation after every merged segment, so after every batch of
+  // the incremental merge) must hold on the farm path too.
   MinerOptions opts;
   opts.min_support = 2;
   opts.min_confidence = 0.5;

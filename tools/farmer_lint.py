@@ -116,6 +116,8 @@ EVENT_LOOP_BLOCKING_RE = re.compile(
     r"|\bifstream\b|\bofstream\b|\bfstream\b"
     r"|\bLoadSnapshot\s*\(|\bSaveSnapshot\s*\(|\bReloadFromFile\s*\("
     r"|\.join\s*\(|\bgetline\s*\("
+    # Farm segment decoding and the merge run on the merge thread.
+    r"|\bDecodeSegments\s*\(|\bMergeFarmSegments\s*\(|\bFinalizeFarm\s*\("
 )
 
 # Method names in src/util/bitset.h whose declarations must carry
