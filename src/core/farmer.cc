@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "core/measures.h"
@@ -114,6 +115,10 @@ FarmerMiner::FarmerMiner(const BinaryDataset& dataset,
     root_union_ |= t;
     root_max_ep_ = std::max(root_max_ep_, t.CountPrefix(m_));
   }
+  if (options_.metrics != nullptr) {
+    task_seconds_ = options_.metrics->GetHistogram(
+        "farmer.task.seconds", {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0});
+  }
 }
 
 bool FarmerMiner::PassesThresholds(std::size_t supp, std::size_t supn) const {
@@ -150,22 +155,12 @@ bool FarmerMiner::PassesThresholds(std::size_t supp, std::size_t supn) const {
 
 double FarmerMiner::EffectiveMinConfidence(const SearchContext& ctx) const {
   double floor = options_.min_confidence;
-  if (options_.top_k > 0 && ctx.shared == nullptr &&
+  if (options_.top_k > 0 && ctx.dynamic_floor &&
       ctx.store.topk_confs.size() == options_.top_k) {
     // topk_confs is sorted descending; back() is the k-th best. Subtrees
     // whose confidence bound is strictly below it cannot improve the top-k
     // (ties still enter via the support tie-break, so the prune below uses
     // a strict comparison).
-    //
-    // Parallel workers deliberately do NOT use their local store's floor:
-    // a local store can hold groups a sequential run would have dropped
-    // as dominated (their witness lives in another task), and those can
-    // raise the local floor above the sequential one — over-pruning
-    // subtrees the sequential miner explores. The static min_confidence
-    // floor is always <= the sequential dynamic floor, so workers mine a
-    // superset; every extra group's confidence is strictly below the
-    // final k-th confidence and the top-k selection discards it, keeping
-    // the reported groups bit-identical.
     floor = std::max(floor, ctx.store.topk_confs.back());
   }
   return floor;
@@ -744,9 +739,9 @@ void FarmerMiner::MineIRGs(SearchContext& ctx, std::size_t depth,
   // Steps 5/6 — recurse into each remaining candidate, ascending. The ORD
   // order makes the class restriction implicit: after descending into a
   // ¬C row, every later row is ¬C as well. The node delivers its tuples to
-  // all children in one pass before the first inline child. In parallel
-  // runs, a hungry pool converts the remaining branches into stealable
-  // tasks instead (adaptive subtree splitting).
+  // all children in one pass before the first inline child. A task that
+  // splits (ShouldSplit) converts the remaining branches into tasks
+  // instead.
   DepthScratch& child = ctx.arena[depth + 1];
   bool delivered = false;
   bool spawned_children = false;
@@ -760,7 +755,7 @@ void FarmerMiner::MineIRGs(SearchContext& ctx, std::size_t depth,
   }
   for (std::size_t ri = s.new_cands.FindFirst(); ri < n_;
        ri = s.new_cands.FindNext(ri)) {
-    if (ctx.shared != nullptr && ShouldSplit(ctx, depth)) {
+    if (ctx.split != Split::kNone && ShouldSplit(ctx, depth)) {
       SpawnRemaining(ctx, depth, ri, supp, supn);
       spawned_children = true;
       break;
@@ -770,12 +765,12 @@ void FarmerMiner::MineIRGs(SearchContext& ctx, std::size_t depth,
       delivered = true;
     }
     EnterChild(s, s.alive, s.new_cands, s.support, ri, &child);
-    if (ctx.shared != nullptr) {
+    if (ctx.split != Split::kNone) {
       ctx.path.push_back(static_cast<std::uint32_t>(ri));
     }
     MineIRGs(ctx, depth + 1, supp + (ri < m_ ? 1 : 0),
              supn + (ri >= m_ ? 1 : 0));
-    if (ctx.shared != nullptr) ctx.path.pop_back();
+    if (ctx.split != Split::kNone) ctx.path.pop_back();
     if (ctx.stats.timed_out) return;
     if (track_root) {
       options_.progress->root_done.fetch_add(1, std::memory_order_relaxed);
@@ -794,10 +789,10 @@ void FarmerMiner::MineIRGs(SearchContext& ctx, std::size_t depth,
 
 bool FarmerMiner::ShouldSplit(const SearchContext& ctx,
                               std::size_t depth) const {
-  // Farm lease contexts carry a shared block with no pool: they must
-  // mine their whole subtree inline (the coordinator, not a local pool,
-  // owns the decomposition).
-  return ctx.shared->pool != nullptr && depth < options_.max_split_depth &&
+  // The plan's root splits at its first child, so no other node is
+  // visited under kCollectRoot.
+  if (ctx.split == Split::kCollectRoot) return true;
+  return depth < options_.max_split_depth &&
          ctx.shared->pool->ApproxPending() < ctx.shared->hungry_below;
 }
 
@@ -823,7 +818,11 @@ void FarmerMiner::SpawnRemaining(SearchContext& ctx, std::size_t depth,
                            ? kExternalWorker
                            : static_cast<std::uint32_t>(ctx.lane - 1);
     ++ctx.stats.tasks_spawned;
-    SubmitTask(*ctx.shared, std::move(task), ctx.lane);
+    if (ctx.split == Split::kCollectRoot) {
+      ctx.collected.push_back(std::move(task));
+    } else {
+      SubmitTask(*ctx.shared, std::move(task), ctx.lane);
+    }
   }
   if (options_.trace != nullptr) {
     options_.trace->Instant(
@@ -888,25 +887,60 @@ void FarmerMiner::SubmitTask(ParallelShared& shared, SubtreeTask task,
   }
   shared.pool->Submit(
       [this, &shared, task = std::move(task)](std::size_t worker_id) {
-        RunTask(shared, task, worker_id);
+        SearchContext& ctx = (*shared.contexts)[worker_id];
+        std::vector<Segment> out =
+            ExecuteSubtree(ctx, task, Split::kWhenHungry);
+        MutexLock lock(shared.mutex);
+        shared.stats.MergeFrom(ctx.stats);
+        for (Segment& seg : out) shared.segments.push_back(std::move(seg));
       });
 }
 
-void FarmerMiner::BeginTask(SearchContext& ctx, const TaskId& id,
-                            std::size_t lane) const {
+std::vector<MineSegment> FarmerMiner::ExecuteSubtree(SearchContext& ctx,
+                                                     const SubtreeTask& task,
+                                                     Split split) {
+  // With telemetry off, no clock is read.
+  const std::uint64_t span_start =
+      options_.trace != nullptr ? options_.trace->NowNs() : 0;
+  std::optional<Stopwatch> task_sw;
+  if (task_seconds_ != nullptr) task_sw.emplace();
+
+  // Reset the context for this task, keeping every capacity. The plan
+  // visits the root alone and must list every lease even after the
+  // deadline fired.
   ctx.store.Clear();
   ctx.stats = MinerStats{};
-  ctx.deadline = options_.deadline;
-  ctx.path = id;
+  ctx.deadline = split == Split::kCollectRoot ? Deadline() : options_.deadline;
+  ctx.split = split;
+  // The top-k floor may rise with the store only when that one store
+  // sees the whole tree. A store that sees part of it can hold groups a
+  // whole-tree run would have dropped as dominated (their witness lives
+  // in another task), and those can raise its floor above the whole-tree
+  // one — over-pruning subtrees the whole-tree run explores. The static
+  // min_confidence floor is always <= the whole-tree floor, so a partial
+  // store mines a superset; every extra group's confidence is strictly
+  // below the final k-th confidence and the top-k selection discards it,
+  // keeping the reported groups bit-identical.
+  ctx.dynamic_floor = task.parent == nullptr && split == Split::kNone;
+  ctx.path = task.id;
   ctx.seg_bounds.clear();
-  ctx.seg_bounds.emplace_back(id, 0);
+  ctx.seg_bounds.emplace_back(task.id, 0);
   ctx.closers.clear();
-  ctx.lane = lane;
+  ctx.collected.clear();
   ctx.published = MinerStats{};
   ctx.published_groups = 0;
-}
 
-std::vector<MineSegment> FarmerMiner::TakeSegments(SearchContext& ctx) const {
+  if (task.parent == nullptr) {
+    EnterRoot(&ctx.arena[0]);
+  } else {
+    // Enter from the shared split snapshot, inside the executing thread
+    // and into preallocated storage: the spawner copied nothing.
+    EnterSplitChild(ctx, *task.parent, task.row, task.depth);
+  }
+  MineIRGs(ctx, task.depth, task.supp, task.supn);
+
+  // Slice the inline insertions into their segments; the deferred
+  // closers follow.
   std::vector<Segment> out;
   out.reserve(ctx.seg_bounds.size() + ctx.closers.size());
   for (std::size_t b = 0; b < ctx.seg_bounds.size(); ++b) {
@@ -923,26 +957,6 @@ std::vector<MineSegment> FarmerMiner::TakeSegments(SearchContext& ctx) const {
     out.push_back(std::move(seg));
   }
   for (Segment& closer : ctx.closers) out.push_back(std::move(closer));
-  return out;
-}
-
-void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
-                          std::size_t worker_id) {
-  SearchContext& ctx = (*shared.contexts)[worker_id];
-  BeginTask(ctx, task.id, worker_id + 1);
-  const std::uint64_t span_start =
-      options_.trace != nullptr ? options_.trace->NowNs() : 0;
-  Stopwatch task_sw;
-
-  if (task.parent == nullptr) {
-    EnterRoot(&ctx.arena[0]);  // The root task mines from the tree root.
-  } else {
-    // Enter from the shared split snapshot, inside the worker and into
-    // preallocated storage: the spawner copied nothing.
-    EnterSplitChild(ctx, *task.parent, task.row, task.depth);
-  }
-  MineIRGs(ctx, task.depth, task.supp, task.supn);
-  std::vector<Segment> out = TakeSegments(ctx);
 
   if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
     PublishProgress(ctx);
@@ -951,18 +965,13 @@ void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
   }
   if (options_.trace != nullptr) {
     const bool stolen = task.home_worker != kExternalWorker &&
-                        task.home_worker != worker_id;
-    options_.trace->EndSpan(worker_id + 1, "task", span_start, "depth",
+                        task.home_worker + std::size_t{1} != ctx.lane;
+    options_.trace->EndSpan(ctx.lane, "task", span_start, "depth",
                             static_cast<std::int64_t>(task.depth),
                             "stolen", stolen ? 1 : 0);
   }
-  if (shared.task_seconds != nullptr) {
-    shared.task_seconds->Observe(task_sw.ElapsedSeconds());
-  }
-
-  MutexLock lock(shared.mutex);
-  shared.stats.MergeFrom(ctx.stats);
-  for (Segment& seg : out) shared.segments.push_back(std::move(seg));
+  if (task_sw.has_value()) task_seconds_->Observe(task_sw->ElapsedSeconds());
+  return out;
 }
 
 // The sequential miner drops candidate c_i iff an earlier *stored*
@@ -1219,23 +1228,24 @@ std::vector<RuleGroup> FarmerMiner::RunSearch(MinerStats* stats,
                                               ThreadPool* pool) {
   CancelFlag cancel;
   if (pool == nullptr) {
+    // One store sees the whole tree, so the root task's one segment is
+    // already the merged result.
     SearchContext ctx = MakeContext(&cancel);
-    EnterRoot(&ctx.arena[0]);
-    MineIRGs(ctx, 0, 0, 0);
-    if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
-      PublishProgress(ctx);
-    }
+    std::vector<Segment> segments =
+        ExecuteSubtree(ctx, SubtreeTask{}, Split::kNone);
     *stats = ctx.stats;
+    std::vector<RuleGroup> groups;
+    if (!segments.empty()) groups = std::move(segments.front().groups);
     if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
       const GroupStore& store = ctx.store;
       const auto group_at = [&](std::size_t i) -> const RuleGroup& {
-        return store.groups[i];
+        return groups[i];
       };
       ValidateIndex(store.row_groups, store.counts, store.confs,
-                    store.groups.size(), group_at);
-      ValidateGroups(ctx.store.groups);
+                    groups.size(), group_at);
+      ValidateGroups(groups);
     }
-    return std::move(ctx.store.groups);
+    return groups;
   }
 
   // Parallel search: a single root task seeds the work-stealing pool;
@@ -1247,16 +1257,12 @@ std::vector<RuleGroup> FarmerMiner::RunSearch(MinerStats* stats,
   ParallelShared shared;
   shared.pool = pool;
   shared.hungry_below = num_workers;
-  if (options_.metrics != nullptr) {
-    shared.task_seconds = options_.metrics->GetHistogram(
-        "farmer.task.seconds",
-        {1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0});
-  }
   std::vector<SearchContext> contexts;
   contexts.reserve(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) {
     contexts.push_back(MakeContext(&cancel));
     contexts.back().shared = &shared;
+    contexts.back().lane = w + 1;
   }
   shared.contexts = &contexts;
 
@@ -1538,108 +1544,37 @@ void FarmerMiner::RemapRows(std::vector<RuleGroup>& groups,
   ForEachChunk(pool, groups.size(), /*chunk=*/1024, remap);
 }
 
-void FarmerMiner::EnsureFarmRoot() {
-  if (farm_root_ != nullptr) return;
-  farm_root_ = std::make_unique<FarmRoot>();
-  FarmRoot& fr = *farm_root_;
-  if (n_ == 0) {
-    fr.plan.root_pruned = true;
-    return;
-  }
-  if (farm_shared_ == nullptr) {
-    // pool == nullptr: ShouldSplit never fires, and a non-null
-    // ctx.shared keeps EffectiveMinConfidence on the static floor — the
-    // exact pruning behavior of an in-process parallel task.
-    farm_shared_ = std::make_unique<ParallelShared>();
-  }
-  if (farm_ctx_ == nullptr) {
-    farm_ctx_ =
-        std::make_unique<SearchContext>(MakeContext(/*cancel=*/nullptr));
-    farm_ctx_->shared = farm_shared_.get();
-  }
-  SearchContext& ctx = *farm_ctx_;
-  ctx.stats = MinerStats{};
-  ctx.deadline = options_.deadline;
-  ctx.path.clear();
-  ctx.seg_bounds.clear();
-  ctx.closers.clear();
-
-  // Mirror of the root visit MineIRGs performs at depth 0 (and of the
-  // parallel root task): one node, then either prune or expose the
-  // surviving candidates as subtrees.
-  DepthScratch& root = ctx.arena[0];
-  EnterRoot(&root);
-  ++ctx.stats.nodes_visited;
-  std::size_t supp = 0;
-  std::size_t supn = 0;
-  if (root.alive.empty() || !VisitNode(ctx, 0, &supp, &supn)) {
-    fr.plan.root_pruned = true;
-    fr.plan.root_stats = ctx.stats;
-    return;
-  }
-  fr.supp = supp;
-  fr.supn = supn;
-
-  auto snapshot = std::make_shared<SplitSnapshot>();
-  snapshot->alive = root_alive_;
-  snapshot->cands = root.new_cands;
-  snapshot->support = root.support;
-  fr.snapshot = std::move(snapshot);
-  for (std::size_t ri = root.new_cands.FindFirst(); ri < n_;
-       ri = root.new_cands.FindNext(ri)) {
-    fr.plan.lease_rows.push_back(static_cast<std::uint32_t>(ri));
-    ++ctx.stats.tasks_spawned;
-  }
-
-  // The root's own step 7, deferred past the leases' merge exactly as
-  // SpawnRemaining + DeferStep7 would defer it: a closer segment at
-  // [kCloserRank] (ctx.path is empty here).
-  DeferStep7(ctx, 0, supp, supn);
-  fr.plan.root_segments = std::move(ctx.closers);
-  ctx.closers.clear();
-  fr.plan.root_stats = ctx.stats;
-  if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
-    options_.progress->root_total.store(fr.plan.lease_rows.size(),
-                                        std::memory_order_relaxed);
-  }
-}
-
 const FarmerMiner::FarmPlan& FarmerMiner::PlanFarm() {
   ApplySimdOverride();
-  EnsureFarmRoot();
-  return farm_root_->plan;
+  if (farm_root_ != nullptr) return farm_root_->plan;
+  farm_ctx_ =
+      std::make_unique<SearchContext>(MakeContext(/*cancel=*/nullptr));
+  farm_root_ = std::make_unique<FarmRoot>();
+  FarmPlan& plan = farm_root_->plan;
+  plan.root_segments =
+      ExecuteSubtree(*farm_ctx_, SubtreeTask{}, Split::kCollectRoot);
+  plan.root_stats = farm_ctx_->stats;
+  farm_root_->leases = std::move(farm_ctx_->collected);
+  for (const SubtreeTask& lease : farm_root_->leases) {
+    plan.lease_rows.push_back(lease.row);
+  }
+  plan.root_pruned = plan.lease_rows.empty() && plan.root_segments.empty();
+  return plan;
 }
 
 std::vector<MineSegment> FarmerMiner::MineFarmLease(std::uint32_t row,
                                                     CancelFlag* cancel,
                                                     MinerStats* stats) {
-  ApplySimdOverride();
-  EnsureFarmRoot();
-  FarmRoot& fr = *farm_root_;
-  FARMER_CHECK(!fr.plan.root_pruned)
-      << "no farm leases exist: the root node was pruned";
-  FARMER_CHECK(row < n_ && fr.snapshot->cands.Test(row))
+  const std::vector<std::uint32_t>& rows = PlanFarm().lease_rows;
+  const auto it = std::lower_bound(rows.begin(), rows.end(), row);
+  FARMER_CHECK(it != rows.end() && *it == row)
       << "row " << row << " is not a farm lease root";
-
   SearchContext& ctx = *farm_ctx_;
-  BeginTask(ctx, TaskId{row}, /*lane=*/0);
   ctx.cancel = cancel;
-
-  // Enter the lease's root from the root snapshot exactly as RunTask
-  // enters a spawned task's.
-  EnterSplitChild(ctx, *fr.snapshot, row, /*depth=*/1);
-  MineIRGs(ctx, 1, fr.supp + (row < m_ ? 1 : 0),
-           fr.supn + (row >= m_ ? 1 : 0));
-
-  std::vector<MineSegment> out = TakeSegments(ctx);
-
-  if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
-    PublishProgress(ctx);
-    options_.progress->tasks_completed.fetch_add(1,
-                                                 std::memory_order_relaxed);
-  }
-  if (stats != nullptr) *stats = ctx.stats;
+  std::vector<MineSegment> out = ExecuteSubtree(
+      ctx, farm_root_->leases[it - rows.begin()], Split::kNone);
   ctx.cancel = nullptr;
+  if (stats != nullptr) *stats = ctx.stats;
   return out;
 }
 

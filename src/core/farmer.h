@@ -102,26 +102,25 @@ class FarmerMiner {
 
   // ---- Farm decomposition (distributed mining) -----------------------
   //
-  // The farm splits the search exactly where the parallel scheme's
-  // SpawnRemaining would split it at the tree root: one lease per root
-  // candidate row surviving the root visit, plus the root's own deferred
-  // step-7 closer. A worker process mines one lease with
-  // MineFarmLease(); the coordinator replays every uploaded segment in
-  // id order with MergeFarmSegments() and FinalizeFarm(). Because the
-  // decomposition and the merge are the in-process parallel ones
-  // verbatim, the farm output is bit-identical to MineFarmer() on one
-  // machine.
+  // The farm runs the same subtree tasks as the in-process pool. The
+  // plan is the root task with every child of the root split off: one
+  // lease per root candidate row surviving the root visit, plus the
+  // root's own deferred step-7 closer. A worker process mines one lease
+  // with MineFarmLease(); the coordinator replays every uploaded segment
+  // in id order with MergeFarmSegments() and FinalizeFarm(). Because the
+  // tasks and the merge are the in-process parallel ones verbatim, the
+  // farm output is bit-identical to MineFarmer() on one machine.
 
   // The root split: which subtrees exist and what the root itself
   // contributed. Computed once, lazily, by PlanFarm().
   struct FarmPlan {
-    // True when the root node itself was pruned: no leases, no root
-    // segments — the result is empty (FinalizeFarm({} ...) handles it).
+    // True when the root yields nothing: no leases and no root segments
+    // — the result is empty (FinalizeFarm({} ...) handles it).
     bool root_pruned = false;
     // One lease per surviving root candidate row, ascending. Lease i
     // mines the subtree rooted at row lease_rows[i].
     std::vector<std::uint32_t> lease_rows;
-    // The root's own segments: its deferred step-7 closer (when the
+    // The root task's segments: its deferred step-7 closer (when the
     // root pattern qualifies). Must be merged along with the workers'
     // uploads.
     std::vector<MineSegment> root_segments;
@@ -129,16 +128,17 @@ class FarmerMiner {
     MinerStats root_stats;
   };
 
-  // Visits the root node once and returns the lease decomposition.
-  // Idempotent; the plan is cached across calls.
+  // Runs the root task once and returns the lease decomposition. The
+  // root visit ignores the deadline, so a plan made after it fired still
+  // lists every lease. Idempotent; the plan is cached across calls.
   const FarmPlan& PlanFarm();
 
-  // Mines the subtree of one lease (a row from FarmPlan::lease_rows)
-  // and returns its segments. Reentrant with respect to distinct miner
-  // instances, NOT thread-safe on one instance (workers are
-  // single-threaded processes). `cancel` may be null; when it fires the
-  // partial result must be discarded (stats->timed_out is set). `stats`
-  // may be null.
+  // Mines the subtree of one lease (a row from FarmPlan::lease_rows;
+  // fatal for any other row) and returns its segments. Reentrant with
+  // respect to distinct miner instances, NOT thread-safe on one instance
+  // (workers are single-threaded processes). `cancel` may be null; when
+  // it fires the partial result must be discarded (stats->timed_out is
+  // set). `stats` may be null.
   std::vector<MineSegment> MineFarmLease(std::uint32_t row,
                                          CancelFlag* cancel,
                                          MinerStats* stats);
@@ -247,9 +247,9 @@ class FarmerMiner {
     Bitset support;             // Identified support of the split node.
   };
 
-  // One spawned subtree task: descend from the snapshot's node into
-  // `row`. parent == nullptr marks the root task (mine from the tree
-  // root; all other fields but `id` are ignored).
+  // One subtree task: descend from the snapshot's node into `row`.
+  // parent == nullptr marks the root task (mine from the tree root; all
+  // other fields but `id` are ignored).
   struct SubtreeTask {
     std::shared_ptr<const SplitSnapshot> parent;
     std::uint32_t row = 0;
@@ -266,6 +266,14 @@ class FarmerMiner {
 
   using Segment = MineSegment;
 
+  // Where a running task's split children go: the one choice a caller
+  // of ExecuteSubtree makes.
+  enum class Split {
+    kNone,         // Nowhere: mine the whole subtree inline.
+    kWhenHungry,   // To ctx.shared's pool, whenever it runs low on work.
+    kCollectRoot,  // Every child of the task's root, into ctx.collected.
+  };
+
   struct SearchContext;
 
   // State shared by all workers of one parallel run.
@@ -279,24 +287,25 @@ class FarmerMiner {
     std::vector<Segment> segments FARMER_GUARDED_BY(mutex);
     // Aggregated task statistics.
     MinerStats stats FARMER_GUARDED_BY(mutex);
-    // Per-task wall-time distribution (null unless metrics are wired).
-    obs::Histogram* task_seconds = nullptr;
   };
 
-  // Per-worker search state: recursion arena plus a private group store.
-  // Sequential mining uses a single context for the whole search; with
-  // num_threads > 1 each worker owns one, reuses it across tasks, and
-  // publishes segments into the shared state after each task.
+  // Per-thread search state: recursion arena plus a private group store,
+  // reused across the tasks the thread executes. A pool worker publishes
+  // each task's segments into the shared state.
   struct SearchContext {
     std::vector<DepthScratch> arena;
     GroupStore store;
     MinerStats stats;
     Deadline deadline;           // Private copy: Expired() mutates state.
     CancelFlag* cancel = nullptr;  // Shared cross-worker stop signal.
-    ParallelShared* shared = nullptr;  // Null in sequential runs.
-    TaskId path;  // Row path of the current node (parallel runs only).
+    ParallelShared* shared = nullptr;  // Set for Split::kWhenHungry.
+    // The running task's split policy, and whether its top-k confidence
+    // floor may rise with its store (see ExecuteSubtree).
+    Split split = Split::kNone;
+    bool dynamic_floor = false;
+    TaskId path;  // Row path of the current node (unless kNone).
     // Trace lane of the thread running this context: 0 for the control
-    // thread (sequential search), worker_id + 1 inside pool tasks.
+    // thread, worker_id + 1 for a pool worker.
     std::size_t lane = 0;
     // Progress baseline: the counter values already flushed to
     // MinerOptions::progress, so each flush publishes only the delta.
@@ -307,6 +316,8 @@ class FarmerMiner {
     std::vector<std::pair<TaskId, std::size_t>> seg_bounds;
     // Deferred step-7 records of nodes that spawned their children.
     std::vector<Segment> closers;
+    // The tasks split off under Split::kCollectRoot.
+    std::vector<SubtreeTask> collected;
     // Deliver's scratch: the receiving rows of each delivered tuple, in
     // tuple order, and each tuple's end in that list.
     std::vector<std::uint32_t> occurrence_rows;
@@ -342,8 +353,7 @@ class FarmerMiner {
                   std::size_t row, DepthScratch* child) const;
 
   // Writes the tree root's inputs into *root: every non-empty tuple, all
-  // rows as candidates, nothing identified (the shared set-up of the
-  // sequential search, the root task and the farm root).
+  // rows as candidates, nothing identified (the root task's entry).
   void EnterRoot(DepthScratch* root) const;
 
   // Step 7: applies the constraint checks and the IRG comparison against
@@ -411,10 +421,9 @@ class FarmerMiner {
   // dataset. Groups must still be in permuted row ids.
   void ValidateClosedAntecedents(const std::vector<RuleGroup>& groups) const;
 
-  // The dynamic confidence floor: min_confidence, raised in top-k mode to
-  // the current k-th best confidence of the store — sequential runs only.
-  // Parallel workers keep the static floor (a worker-local dynamic floor
-  // can overshoot the sequential one and over-prune; see the .cc comment).
+  // The confidence floor: min_confidence, raised in top-k mode to the
+  // current k-th best confidence of the store when ctx.dynamic_floor is
+  // set (see ExecuteSubtree for when it is).
   double EffectiveMinConfidence(const SearchContext& ctx) const;
 
   // Builds a ready-to-recurse context (arena sized to the row count).
@@ -425,12 +434,14 @@ class FarmerMiner {
   RuleGroup MakeGroup(const DepthScratch& s, const Bitset& rows,
                       std::size_t supp, std::size_t supn) const;
 
-  // True when a parallel worker at `depth` should convert its remaining
-  // sibling branches into tasks (shallow enough, pool hungry).
+  // True when the node at `depth` should convert its remaining sibling
+  // branches into tasks, under ctx.split (not kNone, where no node
+  // splits).
   bool ShouldSplit(const SearchContext& ctx, std::size_t depth) const;
 
   // Spawns one task per remaining candidate (from `first_row` on) of the
-  // node at `depth`, sharing one immutable snapshot between them.
+  // node at `depth`, sharing one immutable snapshot between them, and
+  // sends each where ctx.split says.
   void SpawnRemaining(SearchContext& ctx, std::size_t depth,
                       std::size_t first_row, std::size_t supp,
                       std::size_t supn);
@@ -442,8 +453,9 @@ class FarmerMiner {
   void DeferStep7(SearchContext& ctx, std::size_t depth, std::size_t supp,
                   std::size_t supn);
 
-  // Wraps `task` into a pool submission; `lane` is the submitting
-  // thread's trace lane (for the enqueue event).
+  // Submits `task` to the pool: the worker executes it and hands its
+  // segments and stats to `shared`. `lane` is the submitting thread's
+  // trace lane (for the enqueue event).
   void SubmitTask(ParallelShared& shared, SubtreeTask task,
                   std::size_t lane);
 
@@ -455,31 +467,25 @@ class FarmerMiner {
   // distributions into MinerOptions::metrics (must be non-null).
   void ExportMetrics(const FarmerResult& result) const;
 
-  // Per-task reset shared by RunTask and MineFarmLease: empties the store
-  // and the per-task bookkeeping (capacities kept) and opens the task's
-  // first inline segment at `id`.
-  void BeginTask(SearchContext& ctx, const TaskId& id,
-                 std::size_t lane) const;
-
-  // Slices the task's inline insertions into their segments and appends
-  // the deferred closers (shared by RunTask and MineFarmLease).
-  std::vector<Segment> TakeSegments(SearchContext& ctx) const;
-
-  // Enters the root of a split task or a farm lease at `depth`: delivers
-  // the snapshot's tuples to `row` alone, into arena[depth - 1], and
-  // enters arena[depth] from there.
+  // Enters the root of a split task at `depth`: delivers the snapshot's
+  // tuples to `row` alone, into arena[depth - 1], and enters
+  // arena[depth] from there.
   void EnterSplitChild(SearchContext& ctx, const SplitSnapshot& parent,
                        std::size_t row, std::size_t depth) const;
 
-  // Executes one subtree task on worker `worker_id`: enters the task's
-  // root node, mines, then publishes segments + stats.
-  void RunTask(ParallelShared& shared, const SubtreeTask& task,
-               std::size_t worker_id);
+  // Mines one subtree task in `ctx` and returns its segments: resets the
+  // context (capacities kept), enters the task's root, runs MineIRGs,
+  // slices the store into segments, publishes progress and records the
+  // task's span and wall time. The sequential search, pool tasks, the
+  // farm plan and farm leases all run here and differ only in `split`.
+  // ctx.stats holds the task's counters afterwards.
+  std::vector<Segment> ExecuteSubtree(SearchContext& ctx,
+                                      const SubtreeTask& task, Split split);
 
-  // Runs the search from the root: sequential recursion without a pool;
-  // otherwise a root task on `pool` with adaptive subtree splitting,
-  // followed by the deterministic id-ordered merge on the same pool.
-  // Stats are accumulated into *stats.
+  // Runs the search from the root: one task without a pool; otherwise a
+  // root task on `pool` with adaptive subtree splitting, followed by the
+  // deterministic id-ordered merge on the same pool. Stats are
+  // accumulated into *stats.
   std::vector<RuleGroup> RunSearch(MinerStats* stats, ThreadPool* pool);
 
   // Applies options_.simd_level (fatal on an unknown level). Mine() and
@@ -506,31 +512,23 @@ class FarmerMiner {
   // ids, in place, in chunks on `pool` or inline.
   void RemapRows(std::vector<RuleGroup>& groups, ThreadPool* pool) const;
 
-  // Root-visit state backing the farm decomposition (PlanFarm /
-  // MineFarmLease derive every lease from this snapshot).
+  // The farm decomposition: the plan, and the task of each lease
+  // (parallel to plan.lease_rows). Built by the first PlanFarm().
   struct FarmRoot {
     FarmPlan plan;
-    std::shared_ptr<const SplitSnapshot> snapshot;  // Null when pruned.
-    std::size_t supp = 0;  // Identified counts after the root visit.
-    std::size_t supn = 0;
+    std::vector<SubtreeTask> leases;
   };
-
-  // Visits the root once and fills farm_root_ (no-op when already done).
-  void EnsureFarmRoot();
 
   std::unique_ptr<FarmRoot> farm_root_;
   // The farm's merge in progress: its pool and its Merger, created by
   // the first MergeFarmSegments() and consumed by FinalizeFarm().
   struct FarmMerge;
   std::unique_ptr<FarmMerge> farm_merge_;
-  // Reused across MineFarmLease calls (arena allocation is the dominant
-  // per-lease cost for small subtrees).
+  // Runs the plan and every MineFarmLease call (arena allocation is the
+  // dominant per-lease cost for small subtrees).
   std::unique_ptr<SearchContext> farm_ctx_;
-  // Dummy shared state handed to farm lease contexts: pool == nullptr
-  // disables splitting, and a non-null ctx.shared keeps the static
-  // top-k confidence floor (the same floor parallel workers use), so a
-  // lease's pruning matches the in-process parallel task exactly.
-  std::unique_ptr<ParallelShared> farm_shared_;
+  // Per-task wall-time distribution (null unless metrics are wired).
+  obs::Histogram* task_seconds_ = nullptr;
 
   MinerOptions options_;  // Copied: the miner may outlive the caller's copy.
   RowOrder order_;

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -298,6 +299,15 @@ Status Worker::RunSession(int fd, bool* done, bool* rejected) {
       LeaseGrantMsg grant;
       if (!DecodeLeaseGrant(frame.payload, &grant).ok()) {
         return Status::IoError("malformed lease grant");
+      }
+      const std::vector<std::uint32_t>& rows = miner_.PlanFarm().lease_rows;
+      if (!std::binary_search(rows.begin(), rows.end(), grant.root_row)) {
+        // The coordinator planned another decomposition: reconnecting
+        // cannot fix that.
+        *rejected = true;
+        return Status::InvalidArgument(
+            "lease grant for row " + std::to_string(grant.root_row) +
+            ", which is not a lease of this worker's plan");
       }
 
       cancel_.Reset();

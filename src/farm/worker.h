@@ -59,7 +59,8 @@ class Worker {
 
   /// Mines until the coordinator reports completion. Ok on a clean
   /// kDone; InvalidArgument when the coordinator rejected the hello
-  /// (mismatched dataset/params — retrying cannot help); IoError when
+  /// (mismatched dataset/params — retrying cannot help) or granted a
+  /// row that is not a lease of this worker's plan; IoError when
   /// the coordinator stayed unreachable past the backoff budget.
   Status Run();
 
@@ -80,9 +81,9 @@ class Worker {
   };
 
   /// One connected session. Sets *done when the coordinator sent
-  /// kDone, *rejected when it refused the hello.
+  /// kDone, *rejected when it refused the hello or granted a lease
+  /// outside this worker's plan.
   Status RunSession(int fd, bool* done, bool* rejected);
-  Status Connect(int* out_fd);
 
   bool SendLocked(int fd, std::string_view bytes);
 

@@ -71,6 +71,18 @@ class RawClient {
     return net::ConnectToHost("127.0.0.1", port, 5.0, &fd_).ok();
   }
 
+  // Plays the coordinator's side instead: accepts one connection on
+  // `listen_fd` and consumes its preamble.
+  bool AcceptWorker(int listen_fd) {
+    fd_ = ::accept(listen_fd, nullptr, nullptr);
+    char preamble[kFarmPreambleSize];
+    return fd_ >= 0 &&
+           ::recv(fd_, preamble, sizeof(preamble), MSG_WAITALL) ==
+               static_cast<ssize_t>(sizeof(preamble)) &&
+           std::string_view(preamble, sizeof(preamble)) ==
+               std::string_view(kFarmPreamble, kFarmPreambleSize);
+  }
+
   bool Send(std::string_view bytes) { return net::SendAll(fd_, bytes); }
 
   bool SendPreambleAndHello(const HelloMsg& hello) {
@@ -483,6 +495,50 @@ TEST(FarmE2ETest, MergeDeadlineKeepsOnlyCheckedCandidates) {
       }
     }
   }
+}
+
+TEST(FarmE2ETest, GrantOutsideThePlanEndsTheWorker) {
+  // A coordinator that planned another decomposition grants rows this
+  // worker has no lease for. The worker must refuse them and stop — not
+  // abort its process, and not reconnect to the same coordinator.
+  const BinaryDataset dataset = RandomDataset(12, 18, 0.35, 5);
+  MinerOptions opts;
+  opts.min_support = 2;
+  int listen_fd = -1;
+  int port = 0;
+  ASSERT_TRUE(net::OpenListener("127.0.0.1", 0, &listen_fd, &port).ok());
+  for (const std::uint32_t row :
+       {static_cast<std::uint32_t>(dataset.num_rows()), UINT32_MAX}) {
+    SCOPED_TRACE("granted row " + std::to_string(row));
+    std::thread coordinator([&] {
+      RawClient peer;
+      ASSERT_TRUE(peer.AcceptWorker(listen_fd));
+      std::uint8_t opcode = 0;
+      std::string payload;
+      ASSERT_TRUE(peer.ReadFrame(&opcode, &payload));
+      ASSERT_EQ(static_cast<FarmOp>(opcode), FarmOp::kHello);
+      HelloAckMsg ack;
+      ack.accepted = true;
+      ack.worker_id = 1;
+      ASSERT_TRUE(peer.Send(EncodeHelloAck(ack)));
+      ASSERT_TRUE(peer.ReadFrame(&opcode, &payload));
+      ASSERT_EQ(static_cast<FarmOp>(opcode), FarmOp::kLeaseRequest);
+      LeaseGrantMsg grant;
+      grant.lease_id = 1;
+      grant.root_row = row;
+      ASSERT_TRUE(peer.Send(EncodeLeaseGrant(grant)));
+      EXPECT_TRUE(peer.WaitForEof(10.0));
+    });
+    Worker::Options wopts;
+    wopts.port = port;
+    wopts.max_connect_attempts = 1;
+    Worker worker(dataset, opts, wopts);
+    const Status status = worker.Run();
+    coordinator.join();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_EQ(worker.leases_completed(), 0u);
+  }
+  ::close(listen_fd);
 }
 
 TEST(FarmE2ETest, MismatchedWorkersAreRejected) {

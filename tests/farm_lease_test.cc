@@ -18,6 +18,7 @@
 #include "dataset/discretize.h"
 #include "dataset/synthetic.h"
 #include "test_util.h"
+#include "util/timer.h"
 
 namespace farmer {
 namespace {
@@ -177,6 +178,18 @@ TEST(FarmLeaseTest, TopKMode) {
                       /*expect_same_nodes=*/false);
 }
 
+TEST(FarmLeaseTest, TopKLeaseKeepsTheStaticFloor) {
+  // A dataset where a lease that raised its floor to its own store's
+  // k-th-best confidence would prune a group of the sequential top 3:
+  // only the static floor keeps the farm's result equal to it.
+  MinerOptions opts;
+  opts.min_support = 1;
+  opts.min_confidence = 0.0;
+  opts.top_k = 3;
+  ExpectFarmInvariant(RandomDataset(10, 16, 0.3, 2975), opts,
+                      /*expect_same_nodes=*/false);
+}
+
 TEST(FarmLeaseTest, ReportAllRuleGroups) {
   MinerOptions opts;
   opts.min_support = 2;
@@ -238,6 +251,55 @@ TEST(FarmLeaseTest, EmptyDataset) {
   EXPECT_TRUE(plan.lease_rows.empty());
   const FarmerResult result = miner.FinalizeFarm({}, MinerStats{});
   EXPECT_TRUE(result.groups.empty());
+}
+
+TEST(FarmLeaseTest, PlanIgnoresExpiredDeadline) {
+  // The plan visits only the root, so it ignores the deadline: a plan
+  // made after the deadline fired still lists every lease and carries
+  // the root's closer. A row holding every item makes the root pattern
+  // an IRG, so root_segments is not empty.
+  BinaryDataset dataset = RandomDataset(14, 22, 0.35, 21);
+  ItemVector all_items;
+  for (ItemId i = 0; i < 22; ++i) all_items.push_back(i);
+  dataset.AddRow(all_items, 1);
+  MinerOptions opts;
+  opts.min_support = 1;
+  opts.min_confidence = 0.5;
+  internal::FarmerMiner untimed(dataset, opts);
+  opts.deadline = Deadline::After(1e-9);
+  while (!opts.deadline.ExpiredNow()) {
+  }
+  internal::FarmerMiner expired(dataset, opts);
+
+  const internal::FarmerMiner::FarmPlan& want = untimed.PlanFarm();
+  const internal::FarmerMiner::FarmPlan& got = expired.PlanFarm();
+  ASSERT_FALSE(want.root_pruned);
+  ASSERT_FALSE(want.lease_rows.empty());
+  ASSERT_EQ(want.root_segments.size(), 1u);
+  EXPECT_EQ(got.root_pruned, want.root_pruned);
+  EXPECT_EQ(got.lease_rows, want.lease_rows);
+  ASSERT_EQ(got.root_segments.size(), want.root_segments.size());
+  for (std::size_t i = 0; i < want.root_segments.size(); ++i) {
+    const MineSegment& a = want.root_segments[i];
+    const MineSegment& b = got.root_segments[i];
+    EXPECT_EQ(a.id, b.id);
+    ASSERT_EQ(a.groups.size(), b.groups.size());
+    for (std::size_t g = 0; g < a.groups.size(); ++g) {
+      EXPECT_EQ(a.groups[g].antecedent, b.groups[g].antecedent);
+      EXPECT_EQ(a.groups[g].rows, b.groups[g].rows);
+      EXPECT_EQ(a.groups[g].support_pos, b.groups[g].support_pos);
+      EXPECT_EQ(a.groups[g].support_neg, b.groups[g].support_neg);
+      EXPECT_EQ(a.groups[g].confidence, b.groups[g].confidence);
+    }
+  }
+  EXPECT_EQ(got.root_stats.ToJson(), want.root_stats.ToJson());
+  EXPECT_FALSE(got.root_stats.timed_out);
+  EXPECT_EQ(got.root_stats.nodes_visited, 1u);
+
+  // The leases themselves honor the deadline.
+  MinerStats lease_stats;
+  expired.MineFarmLease(got.lease_rows.front(), nullptr, &lease_stats);
+  EXPECT_TRUE(lease_stats.timed_out);
 }
 
 TEST(FarmLeaseTest, DuplicateUploadWouldDoubleCount) {

@@ -456,6 +456,35 @@ TEST(TraceTest, StealInstantsMatchStealCounter) {
   EXPECT_EQ(steal_events, run.result.stats.task_steals);
 }
 
+TEST(TraceTest, FarmPlanAndLeasesEmitOneTaskEach) {
+  // The plan and every lease run through the same executor as pool
+  // tasks, so each gets one `task` span and one task-time observation.
+  BinaryDataset ds = RandomDataset(30, 20, 0.4, 5);
+  obs::TraceSession session(1);
+  obs::MetricsRegistry metrics;
+  MinerOptions opts;
+  opts.consequent = 1;
+  opts.min_support = 2;
+  opts.trace = &session;
+  opts.metrics = &metrics;
+  internal::FarmerMiner miner(ds, opts);
+  const internal::FarmerMiner::FarmPlan& plan = miner.PlanFarm();
+  ASSERT_FALSE(plan.lease_rows.empty());
+  for (const std::uint32_t row : plan.lease_rows) {
+    miner.MineFarmLease(row, nullptr, nullptr);
+  }
+  const std::size_t tasks = plan.lease_rows.size() + 1;
+
+  const JsonValue trace = ParseJsonOrDie(session.ToJson());
+  std::size_t task_spans = 0;
+  for (const JsonValue& e : trace.at("traceEvents").items) {
+    if (e.at("ph").text == "X" && e.at("name").text == "task") ++task_spans;
+  }
+  EXPECT_EQ(task_spans, tasks);
+  EXPECT_EQ(metrics.GetHistogram("farmer.task.seconds", {1.0})->count(),
+            tasks);
+}
+
 TEST(TraceTest, MetadataNamesEveryLane) {
   obs::TraceSession session(3);  // Control + 2 workers.
   session.Instant(0, "x");
