@@ -20,12 +20,9 @@
 // Gates (exit 1):
 //   * any request failure in any phase;
 //   * warm p50 not strictly below cold p50 (the cache must beat the
-//     engine or it is dead weight);
-//   * no pipelined configuration at 16 clients beats the thread-per-
-//     connection baseline warm p99 (PR 5 measured ~72 ms at 16
-//     clients; see ROADMAP.md). Submit-to-response latency grows with
-//     the window (Little's law: in_flight/qps), so the gate takes the
-//     best depth rather than punishing deep windows for queueing.
+//     engine or it is dead weight).
+// Latency bounds keyed to the host live in the end-to-end benchmark
+// (bench/e2e, workloads serve-cover and serve-analyst), not here.
 //
 // Every measurement is appended to BENCH_serve_latency.json.
 //
@@ -72,11 +69,6 @@ namespace {
 using serve::RuleGroupIndex;
 using serve::RuleGroupSnapshot;
 using serve::Server;
-
-// The PR 5 thread-per-connection server's warm p99 at 16 clients on
-// this workload (BENCH_serve_latency.json before the epoll rewrite;
-// quoted in ROADMAP.md). The pipelined event loop must beat it.
-constexpr double kBaselineWarmP99Us = 72000.0;
 
 /// A blocking loopback client for one connection.
 class Client {
@@ -341,9 +333,8 @@ struct PhaseRow {
   std::uint64_t misses = 0;
 };
 
-/// Prints one result row and appends it to the JSON log. Returns the
-/// phase p99 in microseconds.
-double Report(JsonWriter& json, const PhaseRow& row) {
+/// Prints one result row and appends it to the JSON log.
+void Report(JsonWriter& json, const PhaseRow& row) {
   const double p50 = Percentile(row.result.latencies, 0.50);
   const double p99 = Percentile(row.result.latencies, 0.99);
   const double qps = row.result.wall_seconds > 0.0
@@ -369,7 +360,6 @@ double Report(JsonWriter& json, const PhaseRow& row) {
                .Int("cache_hits", static_cast<long long>(row.hits))
                .Int("cache_misses", static_cast<long long>(row.misses)));
   json.Flush();
-  return p99 * 1e6;
 }
 
 }  // namespace
@@ -456,7 +446,6 @@ int main(int argc, char** argv) {
   std::size_t total_failures = 0;
   double warm_serial_qps_16 = 0.0;
   double pipelined_qps_16 = 0.0;
-  double best_pipelined_p99_us_16 = 0.0;
 
   // --- Serial JSON: cold vs warm (or a single mixed phase when driving
   // an external server). ---
@@ -536,18 +525,12 @@ int main(int argc, char** argv) {
       PhaseRow row{"pipelined", clients, depth, std::move(warm),
                    server->cache().hits() - h0,
                    server->cache().misses() - m0};
-      const double p99_us = Report(json, row);
+      Report(json, row);
       total_failures += row.result.failures;
-      if (clients == 16) {
-        if (row.result.wall_seconds > 0.0) {
-          pipelined_qps_16 =
-              std::max(pipelined_qps_16,
-                       row.result.requests / row.result.wall_seconds);
-        }
-        if (best_pipelined_p99_us_16 == 0.0 ||
-            p99_us < best_pipelined_p99_us_16) {
-          best_pipelined_p99_us_16 = p99_us;
-        }
+      if (clients == 16 && row.result.wall_seconds > 0.0) {
+        pipelined_qps_16 =
+            std::max(pipelined_qps_16,
+                     row.result.requests / row.result.wall_seconds);
       }
     }
 
@@ -590,14 +573,6 @@ int main(int argc, char** argv) {
   }
   if (cache_regression) {
     std::printf("\nCACHE REGRESSION: warm p50 is not below cold p50\n");
-    return 1;
-  }
-  if (best_pipelined_p99_us_16 > 0.0 &&
-      best_pipelined_p99_us_16 >= kBaselineWarmP99Us) {
-    std::printf("\nP99 REGRESSION: no pipelined configuration at 16 "
-                "clients beat the %.0f us thread-per-connection baseline "
-                "(best %.1f us)\n",
-                kBaselineWarmP99Us, best_pipelined_p99_us_16);
     return 1;
   }
   if (warm_serial_qps_16 > 0.0 && pipelined_qps_16 > 0.0) {

@@ -94,22 +94,25 @@ FarmerMiner::FarmerMiner(const BinaryDataset& dataset,
     : options_(options),
       order_(OrderRowsByConsequent(dataset, options.consequent)),
       permuted_(PermuteRows(dataset, order_)),
-      tt_(TransposedTable::Build(permuted_)),
       n_(dataset.num_rows()),
       m_(order_.num_positive),
       exact_mode_(!options.enable_pruning1 || !options.enable_pruning2) {
-  tuple_bits_.resize(tt_.num_items());
-  for (ItemId i = 0; i < tt_.num_items(); ++i) {
-    tuple_bits_[i].Resize(n_);
-    for (RowId r : tt_.tuple(i)) tuple_bits_[i].Set(r);
+  // The transposed table, straight from the permuted rows: item i's
+  // tuple is the set of rows that contain it.
+  tuple_bits_.resize(permuted_.num_items());
+  for (Bitset& t : tuple_bits_) t.Resize(n_);
+  for (std::size_t r = 0; r < n_; ++r) {
+    for (ItemId i : permuted_.row(static_cast<RowId>(r))) {
+      tuple_bits_[i].Set(r);
+    }
   }
   words_ = (n_ + 63) / 64;
   root_common_.Resize(n_);
   root_common_.SetAll();
   root_union_.Resize(n_);
-  for (ItemId i = 0; i < tt_.num_items(); ++i) {
-    if (tt_.tuple(i).empty()) continue;
+  for (ItemId i = 0; i < tuple_bits_.size(); ++i) {
     const Bitset& t = tuple_bits_[i];
+    if (t.None()) continue;
     root_alive_.push_back(i);
     root_common_ &= t;
     root_union_ |= t;
@@ -1403,8 +1406,10 @@ FarmerResult FarmerMiner::FinalizeResult(std::vector<RuleGroup> groups,
     ValidateClosedAntecedents(groups);
   }
 
-  // Top-k selection: best confidence first, support breaks ties.
-  if (options_.top_k > 0 && groups.size() > options_.top_k) {
+  // Top-k selection: best confidence first, support breaks ties. Sort
+  // even when k or fewer groups arrive: a one-thread mine's rising floor
+  // can leave exactly k, in discovery order.
+  if (options_.top_k > 0) {
     std::stable_sort(groups.begin(), groups.end(),
                      [](const RuleGroup& a, const RuleGroup& b) {
                        if (a.confidence != b.confidence) {
@@ -1412,7 +1417,7 @@ FarmerResult FarmerMiner::FinalizeResult(std::vector<RuleGroup> groups,
                        }
                        return a.support_pos > b.support_pos;
                      });
-    groups.resize(options_.top_k);
+    if (groups.size() > options_.top_k) groups.resize(options_.top_k);
   }
 
   // Optional lower-bound mining (MineLB), still in permuted row ids.

@@ -11,7 +11,6 @@
 #include "core/miner_options.h"
 #include "core/rule.h"
 #include "dataset/dataset.h"
-#include "dataset/transpose.h"
 #include "dataset/types.h"
 #include "util/bitset.h"
 #include "util/sync.h"
@@ -533,7 +532,6 @@ class FarmerMiner {
   MinerOptions options_;  // Copied: the miner may outlive the caller's copy.
   RowOrder order_;
   BinaryDataset permuted_;
-  TransposedTable tt_;
   std::size_t n_ = 0;  // rows
   std::size_t m_ = 0;  // rows labeled with the consequent (first m_ ids)
   bool exact_mode_ = false;

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -118,11 +119,24 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+void AppendJsonNumber(std::string* out, double v) {
+  if (!std::isfinite(v)) {  // JSON has no inf/nan.
+    out->push_back('0');
+    return;
+  }
+  // The standard defines general format at a precision as printf's %g
+  // at that precision in the C locale, so this is "%.9g" without the
+  // format-string parse.
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 9);
+  out->append(buf, res.ptr);
+}
+
 std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "0";  // JSON has no inf/nan.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+  std::string out;
+  AppendJsonNumber(&out, v);
+  return out;
 }
 
 std::string MetricsSnapshot::ToJson() const {

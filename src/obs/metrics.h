@@ -169,8 +169,13 @@ class MetricsRegistry {
 std::string JsonEscape(const std::string& s);
 
 /// Formats a double the way the obs JSON exporters do: shortest form
-/// that round-trips reasonably ("%.17g" is overkill for telemetry).
+/// that round-trips reasonably ("%.17g" is overkill for telemetry). The
+/// text is exactly printf("%.9g") in the C locale; non-finite values,
+/// which JSON cannot spell, render as "0".
 std::string JsonNumber(double v);
+
+/// Appends JsonNumber(v) to *out without a temporary string.
+void AppendJsonNumber(std::string* out, double v);
 
 }  // namespace obs
 }  // namespace farmer

@@ -3,19 +3,10 @@
 namespace farmer {
 namespace serve {
 
-std::string ResponseCache::ComposeKey(std::uint64_t version,
-                                      const std::string& key) {
-  std::string out = std::to_string(version);
-  out.push_back('\x1f');
-  out += key;
-  return out;
-}
-
-bool ResponseCache::Get(std::uint64_t version, const std::string& key,
+bool ResponseCache::Get(std::uint64_t version, std::string_view key,
                         std::string* value) {
-  const std::string composite = ComposeKey(version, key);
   MutexLock lock(mutex_);
-  auto it = map_.find(composite);
+  auto it = map_.find(KeyRef{version, key});
   if (it == map_.end()) {
     ++misses_;
     return false;
@@ -26,12 +17,11 @@ bool ResponseCache::Get(std::uint64_t version, const std::string& key,
   return true;
 }
 
-void ResponseCache::Put(std::uint64_t version, const std::string& key,
+void ResponseCache::Put(std::uint64_t version, std::string key,
                         std::string value) {
   if (value.size() > max_bytes_) return;
-  std::string composite = ComposeKey(version, key);
   MutexLock lock(mutex_);
-  auto it = map_.find(composite);
+  auto it = map_.find(KeyRef{version, key});
   if (it != map_.end()) {
     bytes_ -= it->second->payload.size();
     bytes_ += value.size();
@@ -39,8 +29,8 @@ void ResponseCache::Put(std::uint64_t version, const std::string& key,
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
     bytes_ += value.size();
-    lru_.push_front(Entry{version, composite, std::move(value)});
-    map_.emplace(std::move(composite), lru_.begin());
+    lru_.push_front(Entry{version, std::move(key), std::move(value)});
+    map_.emplace(KeyRef{version, lru_.front().key}, lru_.begin());
   }
   EvictLocked();
 }
@@ -50,7 +40,7 @@ void ResponseCache::DropVersionsBelow(std::uint64_t version) {
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (it->version < version) {
       bytes_ -= it->payload.size();
-      map_.erase(it->map_key);
+      map_.erase(KeyRef{it->version, it->key});
       it = lru_.erase(it);
       ++evictions_;
     } else {
@@ -71,7 +61,7 @@ void ResponseCache::EvictLocked() {
          (map_.size() > max_entries_ || bytes_ > max_bytes_)) {
     const Entry& victim = lru_.back();
     bytes_ -= victim.payload.size();
-    map_.erase(victim.map_key);
+    map_.erase(KeyRef{victim.version, victim.key});
     lru_.pop_back();
     ++evictions_;
   }

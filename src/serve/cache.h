@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -35,15 +36,14 @@ class ResponseCache {
   ResponseCache& operator=(const ResponseCache&) = delete;
 
   /// Looks up (version, key); on hit copies the payload into *value,
-  /// promotes the entry to most-recently-used, and returns true.
-  bool Get(std::uint64_t version, const std::string& key,
-           std::string* value);
+  /// promotes the entry to most-recently-used, and returns true. The
+  /// lookup itself copies nothing.
+  bool Get(std::uint64_t version, std::string_view key, std::string* value);
 
   /// Inserts (or refreshes) (version, key) -> `value`, then evicts LRU
   /// entries until both bounds hold again. Values larger than the byte
   /// bound are not cached at all.
-  void Put(std::uint64_t version, const std::string& key,
-           std::string value);
+  void Put(std::uint64_t version, std::string key, std::string value);
 
   /// Frees every entry older than `version` — called on snapshot swap
   /// so dead payloads stop occupying byte budget. (Version-keyed
@@ -63,15 +63,24 @@ class ResponseCache {
  private:
   struct Entry {
     std::uint64_t version;
-    std::string map_key;  // version-prefixed composite key.
+    std::string key;  // The canonical key; the map views it in place.
     std::string payload;
   };
 
-  /// The composite map key: "<version>\x1f<key>". \x1f cannot appear in
-  /// a canonical key (they are rendered from validated fields), so the
-  /// composition is injective.
-  static std::string ComposeKey(std::uint64_t version,
-                                const std::string& key);
+  /// A map key: the version plus a view of an entry's own key (list
+  /// nodes never move, so the view stays valid while the entry lives).
+  /// Lookups view the caller's key instead, so neither path copies it.
+  struct KeyRef {
+    std::uint64_t version;
+    std::string_view key;
+    bool operator==(const KeyRef&) const = default;
+  };
+  struct KeyRefHash {
+    std::size_t operator()(const KeyRef& k) const {
+      return std::hash<std::string_view>()(k.key) ^
+             static_cast<std::size_t>(k.version * 0x9e3779b97f4a7c15ULL);
+    }
+  };
 
   void EvictLocked() FARMER_REQUIRES(mutex_);
 
@@ -81,7 +90,7 @@ class ResponseCache {
   mutable Mutex mutex_;
   // Front = most recently used.
   std::list<Entry> lru_ FARMER_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::list<Entry>::iterator> map_
+  std::unordered_map<KeyRef, std::list<Entry>::iterator, KeyRefHash> map_
       FARMER_GUARDED_BY(mutex_);
   std::size_t bytes_ FARMER_GUARDED_BY(mutex_) = 0;
   std::uint64_t hits_ FARMER_GUARDED_BY(mutex_) = 0;

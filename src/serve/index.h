@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dataset/types.h"
@@ -15,19 +16,30 @@ namespace serve {
 /// banks. The serve event loop passes one bank per shard so the posting
 /// storage a shard walks most often clusters together instead of
 /// interleaving with every other shard's working set — the list for
-/// item i lives in bank i % num_banks at slot i / num_banks. Lookup is
-/// two indexed loads either way; with num_banks == 1 the layout
-/// degenerates to the classic single vector-of-vectors.
+/// item i lives in bank i % num_banks at slot i / num_banks.
+///
+/// Each bank is one CSR pair: `offsets` (one entry per slot plus one)
+/// and `ids`, the slot lists back to back. A query that walks a
+/// thousand lists therefore touches two arrays per bank, not a thousand
+/// heap blocks. Build() fills the arrays in two passes over the same
+/// postings, a count pass and a fill pass.
 class PostingBanks {
  public:
   PostingBanks() = default;
-  PostingBanks(std::size_t universe, std::size_t num_banks);
 
-  std::vector<std::uint32_t>& Mutable(std::size_t id) {
-    return banks_[id % num_banks_][id / num_banks_];
-  }
-  const std::vector<std::uint32_t>& Get(std::size_t id) const {
-    return banks_[id % num_banks_][id / num_banks_];
+  /// Builds banks for ids below `universe`. `for_each(emit)` must call
+  /// emit(id, value) once per posting, in the order each list should
+  /// hold its values, and the same way on both calls. Defined in
+  /// index.cc, its only user.
+  template <typename ForEach>
+  static PostingBanks Build(std::size_t universe, std::size_t num_banks,
+                            const ForEach& for_each);
+
+  std::span<const std::uint32_t> Get(std::size_t id) const {
+    const Bank& bank = banks_[id % num_banks_];
+    const std::size_t slot = id / num_banks_;
+    return {bank.ids.data() + bank.offsets[slot],
+            bank.ids.data() + bank.offsets[slot + 1]};
   }
   /// Number of ids the banks were sized for; ids at or past this bound
   /// have no posting list (callers must range-check first).
@@ -35,9 +47,14 @@ class PostingBanks {
   std::size_t num_banks() const { return num_banks_; }
 
  private:
+  struct Bank {
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> ids;
+  };
+
   std::size_t universe_ = 0;
   std::size_t num_banks_ = 1;
-  std::vector<std::vector<std::vector<std::uint32_t>>> banks_;
+  std::vector<Bank> banks_;
 };
 
 /// In-memory query engine over a loaded snapshot.
@@ -54,6 +71,10 @@ class PostingBanks {
 ///     O(shortest posting list) per probe
 ///   * row-cover(sample items)               counting join over the
 ///     match-set postings, O(sum of the sample's posting lists)
+///
+/// Both of the last two read their answer off a bitmap of the matches'
+/// confidence ranks, in O(groups / 64 + matches): no sort, and no pass
+/// over every match set.
 ///
 /// `num_banks` shards the posting-list storage by item id (see
 /// PostingBanks) — the server passes its event-loop shard count so each
@@ -97,29 +118,26 @@ class RuleGroupIndex {
                                     std::size_t limit) const;
 
  private:
-  /// True when every item of the sorted vector `sub` appears in the
-  /// sorted vector `super`.
-  static bool IsSubset(const ItemVector& sub, const ItemVector& super);
-
   RuleGroupSnapshot snap_;
   /// Group indices by descending (confidence, support_pos, index).
   std::vector<std::uint32_t> by_confidence_;
   /// Group indices by descending (chi_square, support_pos, index).
   std::vector<std::uint32_t> by_chi_;
-  /// Rank of each group in by_confidence_ (for sorting query answers).
+  /// Rank of each group in by_confidence_ (for ordering query answers).
   std::vector<std::uint32_t> conf_rank_;
   /// item -> groups whose antecedent contains it (ascending group index),
   /// banked by item id across the server's event-loop shards.
   PostingBanks antecedent_postings_;
   /// Row-cover side: one match set per (group, lower bound) pair — or the
-  /// antecedent when a group has no lower bounds. Sizes + owning group
-  /// per match set, and item -> match-set ids postings for the counting
-  /// join.
-  std::vector<std::uint32_t> ms_group_;
+  /// antecedent when a group has no lower bounds. Size + the owning
+  /// group's confidence rank per match set, and item -> match-set ids
+  /// postings for the counting join.
   std::vector<std::uint32_t> ms_size_;
+  std::vector<std::uint32_t> ms_rank_;
   PostingBanks ms_postings_;
-  /// Groups with an empty match set (match every sample).
-  std::vector<std::uint32_t> always_match_;
+  /// Confidence ranks of the groups with an empty match set (they match
+  /// every sample).
+  std::vector<std::uint32_t> always_match_ranks_;
 };
 
 }  // namespace serve

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -15,6 +16,22 @@ namespace farmer {
 namespace serve {
 
 namespace {
+
+/// Appends the decimal digits of `v`.
+template <typename Int>
+void AppendDecimal(std::string* out, Int v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, res.ptr);
+}
+
+/// Appends `ids` as comma-separated decimals ("3,17,42").
+void AppendIdList(std::string* out, const ItemVector& ids) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    AppendDecimal(out, ids[i]);
+  }
+}
 
 // ---------------------------------------------------------------------
 // Minimal strict JSON parser. Supports exactly what the wire protocol
@@ -491,13 +508,20 @@ std::string EncodeBinaryRequest(const QueryRequest& request) {
   return frame;
 }
 
+std::string EncodeResponseFrameHeader(FrameStatus status,
+                                      std::uint64_t req_id,
+                                      std::size_t json_size) {
+  std::string header;
+  header.reserve(4 + 9);
+  PutU32(&header, static_cast<std::uint32_t>(9 + json_size));
+  header.push_back(static_cast<char>(status));
+  PutU64(&header, req_id);
+  return header;
+}
+
 std::string EncodeResponseFrame(FrameStatus status, std::uint64_t req_id,
                                 std::string_view json) {
-  std::string frame;
-  frame.reserve(4 + 9 + json.size());
-  PutU32(&frame, static_cast<std::uint32_t>(9 + json.size()));
-  frame.push_back(static_cast<char>(status));
-  PutU64(&frame, req_id);
+  std::string frame = EncodeResponseFrameHeader(status, req_id, json.size());
   frame.append(json.data(), json.size());
   return frame;
 }
@@ -618,7 +642,9 @@ Status ParseRequest(const std::string& line, QueryRequest* out) {
 }
 
 std::string CanonicalKey(const QueryRequest& request) {
-  std::string key = OpName(request.op);
+  std::string key;
+  key.reserve(48 + 8 * request.items.size());
+  key += OpName(request.op);
   switch (request.op) {
     case QueryRequest::Op::kPing:
     case QueryRequest::Op::kStats:
@@ -627,22 +653,23 @@ std::string CanonicalKey(const QueryRequest& request) {
       break;
     case QueryRequest::Op::kTopkConfidence:
     case QueryRequest::Op::kTopkChiSquare:
-      key += " k=" + std::to_string(request.k);
+      key += " k=";
+      AppendDecimal(&key, request.k);
       break;
     case QueryRequest::Op::kContains:
     case QueryRequest::Op::kCover:
       key += " items=";
-      for (std::size_t i = 0; i < request.items.size(); ++i) {
-        if (i > 0) key += ',';
-        key += std::to_string(request.items[i]);
-      }
+      AppendIdList(&key, request.items);
       break;
     case QueryRequest::Op::kFilter:
-      key += " minsup=" + std::to_string(request.min_support) +
-             " minconf=" + obs::JsonNumber(request.min_confidence);
+      key += " minsup=";
+      AppendDecimal(&key, request.min_support);
+      key += " minconf=";
+      obs::AppendJsonNumber(&key, request.min_confidence);
       break;
   }
-  key += " limit=" + std::to_string(request.limit);
+  key += " limit=";
+  AppendDecimal(&key, request.limit);
   return key;
 }
 
@@ -656,31 +683,42 @@ bool IsCacheable(const QueryRequest& request) {
 std::string RenderGroupsPayload(const QueryRequest& request,
                                 const RuleGroupIndex& index,
                                 const std::vector<std::uint32_t>& ids) {
-  std::string out = "{\"ok\":true,\"op\":\"";
+  // One buffer, sized up front: an over-estimate of the digits, plus
+  // room for the ",\"cached\":false}" and the line protocol's newline,
+  // which FinishResponse and the server append without reallocating.
+  std::size_t estimate = 96;
+  for (std::uint32_t id : ids) {
+    const RuleGroup& g = index.group(id);
+    estimate += 160 + 8 * g.antecedent.size();
+    for (const ItemVector& lb : g.lower_bounds) estimate += 3 + 8 * lb.size();
+  }
+  std::string out;
+  out.reserve(estimate);
+  out += "{\"ok\":true,\"op\":\"";
   out += OpName(request.op);
-  out += "\",\"count\":" + std::to_string(ids.size());
+  out += "\",\"count\":";
+  AppendDecimal(&out, ids.size());
   out += ",\"groups\":[";
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const RuleGroup& g = index.group(ids[i]);
     if (i > 0) out += ',';
-    out += "{\"index\":" + std::to_string(ids[i]);
-    out += ",\"support_pos\":" + std::to_string(g.support_pos);
-    out += ",\"support_neg\":" + std::to_string(g.support_neg);
-    out += ",\"confidence\":" + obs::JsonNumber(g.confidence);
-    out += ",\"chi_square\":" + obs::JsonNumber(g.chi_square);
+    out += "{\"index\":";
+    AppendDecimal(&out, ids[i]);
+    out += ",\"support_pos\":";
+    AppendDecimal(&out, g.support_pos);
+    out += ",\"support_neg\":";
+    AppendDecimal(&out, g.support_neg);
+    out += ",\"confidence\":";
+    obs::AppendJsonNumber(&out, g.confidence);
+    out += ",\"chi_square\":";
+    obs::AppendJsonNumber(&out, g.chi_square);
     out += ",\"antecedent\":[";
-    for (std::size_t k = 0; k < g.antecedent.size(); ++k) {
-      if (k > 0) out += ',';
-      out += std::to_string(g.antecedent[k]);
-    }
+    AppendIdList(&out, g.antecedent);
     out += "],\"lower_bounds\":[";
     for (std::size_t lb = 0; lb < g.lower_bounds.size(); ++lb) {
       if (lb > 0) out += ',';
       out += '[';
-      for (std::size_t k = 0; k < g.lower_bounds[lb].size(); ++k) {
-        if (k > 0) out += ',';
-        out += std::to_string(g.lower_bounds[lb][k]);
-      }
+      AppendIdList(&out, g.lower_bounds[lb]);
       out += ']';
     }
     out += "]}";
@@ -768,7 +806,12 @@ std::string RenderError(const std::string& code, const std::string& message,
 
 std::string FinishResponse(const std::string& payload, bool cached,
                            const std::string& id) {
-  std::string out = payload;
+  return FinishResponse(std::string(payload), cached, id);
+}
+
+std::string FinishResponse(std::string&& payload, bool cached,
+                           const std::string& id) {
+  std::string out = std::move(payload);
   out += cached ? ",\"cached\":true" : ",\"cached\":false";
   if (!id.empty()) out += ",\"id\":\"" + obs::JsonEscape(id) + "\"";
   out += "}";

@@ -193,6 +193,13 @@ std::string EncodeBinaryRequest(const QueryRequest& request);
 std::string EncodeResponseFrame(FrameStatus status, std::uint64_t req_id,
                                 std::string_view json);
 
+/// The first 13 bytes of that frame (length, status, req_id): sent
+/// ahead of `json_size` bytes of JSON, they make the same frame without
+/// copying the JSON.
+std::string EncodeResponseFrameHeader(FrameStatus status,
+                                      std::uint64_t req_id,
+                                      std::size_t json_size);
+
 /// Splits a response frame body (the bytes after the length field) back
 /// into status / req_id / JSON text. InvalidArgument when too short.
 Status DecodeResponseFrame(std::string_view body, FrameStatus* status,
@@ -275,6 +282,9 @@ std::string RenderError(const std::string& code, const std::string& message,
 /// newline). The id lives here, not in the payload, so one cached
 /// payload can serve requests that differ only in their ids.
 std::string FinishResponse(const std::string& payload, bool cached,
+                           const std::string& id = "");
+/// The same, finishing `payload` in place instead of copying it.
+std::string FinishResponse(std::string&& payload, bool cached,
                            const std::string& id = "");
 
 }  // namespace serve

@@ -660,7 +660,8 @@ Server::QueryOutcome Server::RunQuery(const QueryRequest& request,
     if (cache_.Get(vi->version, key, &payload)) {
       if (metrics_.cache_hits != nullptr) metrics_.cache_hits->Increment();
       out.cached = true;
-      out.json = FinishResponse(payload, /*cached=*/true, request.id);
+      out.json = FinishResponse(std::move(payload), /*cached=*/true,
+                                request.id);
       return out;
     }
     if (metrics_.cache_misses != nullptr) metrics_.cache_misses->Increment();
@@ -732,9 +733,11 @@ Server::QueryOutcome Server::RunQuery(const QueryRequest& request,
 
   {
     PhaseTimer encode_phase(scope, "serve.encode", &RequestScope::encode_s);
+    // The cache gets the one copy; the response finishes the original.
     std::string payload = RenderGroupsPayload(request, index, ids);
-    if (cacheable) cache_.Put(vi->version, key, payload);
-    out.json = FinishResponse(payload, /*cached=*/false, request.id);
+    if (cacheable) cache_.Put(vi->version, std::move(key), payload);
+    out.json = FinishResponse(std::move(payload), /*cached=*/false,
+                              request.id);
   }
   return out;
 }
@@ -849,7 +852,10 @@ void Server::EmitSlowQuery(std::size_t shard_id, const PendingRequest& p,
 void Server::Enqueue(Conn& conn, FrameStatus status, std::uint64_t bin_id,
                      std::string json) {
   if (conn.state.mode == ConnState::Mode::kBinary) {
-    conn.Queue(EncodeResponseFrame(status, bin_id, json));
+    // Header and body leave in one vectored send; the body is not
+    // copied into a frame.
+    conn.Queue(EncodeResponseFrameHeader(status, bin_id, json.size()));
+    conn.Queue(std::move(json));
   } else if (conn.state.mode == ConnState::Mode::kHttp) {
     // Server-initiated errors on a scrape connection (idle timeout)
     // still have to be HTTP for the peer to parse them.

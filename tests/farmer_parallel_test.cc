@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "dataset/dataset.h"
 #include "dataset/discretize.h"
 #include "dataset/synthetic.h"
+#include "serve/snapshot.h"
 #include "test_util.h"
 #include "util/timer.h"
 
@@ -271,6 +273,42 @@ TEST(FarmerParallelTest, TopKIsThreadCountInvariant) {
       ExpectIdenticalResults(sequential, MineFarmer(ds, opts));
     }
   }
+}
+
+TEST(FarmerParallelTest, TopKOrderIsThreadCountInvariant) {
+  // A one-thread mine's rising confidence floor can leave exactly k
+  // candidates, and the pool keeps more; both must come out ranked by
+  // confidence, then support, in the same order, and so must the
+  // snapshots the server loads.
+  MinerOptions opts;
+  opts.min_support = 1;
+  opts.min_confidence = 0.0;
+  opts.top_k = 3;
+  const auto snapshot_bytes = [&opts](const BinaryDataset& ds,
+                                      const FarmerResult& result) {
+    serve::RuleGroupSnapshot snapshot;
+    snapshot.groups = result.groups;
+    snapshot.num_rows = ds.num_rows();
+    snapshot.params = serve::SnapshotParams::FromMinerOptions(opts);
+    snapshot.fingerprint = serve::SnapshotFingerprint::FromDataset(ds);
+    return serve::SerializeSnapshot(snapshot);
+  };
+  std::vector<std::uint64_t> differing;
+  for (std::uint64_t seed = 1; seed <= 399; ++seed) {
+    const BinaryDataset ds = RandomDataset(10, 16, 0.3, seed);
+    opts.num_threads = 1;
+    const FarmerResult one = MineFarmer(ds, opts);
+    opts.num_threads = 4;
+    const FarmerResult four = MineFarmer(ds, opts);
+    bool same = one.groups.size() == four.groups.size();
+    for (std::size_t i = 0; same && i < one.groups.size(); ++i) {
+      same = one.groups[i].rows == four.groups[i].rows;
+    }
+    same = same && snapshot_bytes(ds, one) == snapshot_bytes(ds, four);
+    if (!same) differing.push_back(seed);
+  }
+  EXPECT_TRUE(differing.empty())
+      << differing.size() << " seeds differ, first " << differing.front();
 }
 
 TEST(FarmerParallelTest, ExactModeIsThreadCountInvariant) {

@@ -8,6 +8,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -24,6 +26,7 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace farmer {
 namespace {
@@ -377,6 +380,74 @@ TEST(MetricsTest, JsonExportIsValidAndComplete) {
   const JsonValue& h = root.at("histograms").at("h.three");
   ASSERT_EQ(h.at("buckets").items.size(), 3u);
   EXPECT_DOUBLE_EQ(h.at("count").number, 1.0);
+}
+
+// JsonNumber's text is printf("%.9g") in the C locale, for every finite
+// double, and "0" for the values JSON cannot spell.
+std::string PrintfNumber(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+TEST(MetricsTest, JsonNumberMatchesPrintf) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      1.0,
+      -1.0,
+      1e300,
+      -1e300,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      0.5e-323,
+      123456789.0,
+      1234567895.0,
+      999999999.5,
+      0.1,
+  };
+  // Every confidence a dataset of up to 400 rows can produce.
+  for (int n = 1; n <= 400; ++n) {
+    for (int k = 0; k <= n; ++k) {
+      values.push_back(static_cast<double>(k) / static_cast<double>(n));
+    }
+  }
+  Rng rng(2024);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = rng.NextU64();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+    // Subnormals: a random mantissa under a zero exponent.
+    const std::uint64_t sub = bits & ((std::uint64_t{1} << 63) |
+                                      ((std::uint64_t{1} << 52) - 1));
+    std::memcpy(&v, &sub, sizeof(v));
+    values.push_back(v);
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    if (!std::isfinite(v)) continue;
+    const std::string got = obs::JsonNumber(v);
+    if (got != PrintfNumber(v) && ++mismatches <= 10) {
+      ADD_FAILURE() << "JsonNumber gave " << got << ", printf gave "
+                    << PrintfNumber(v);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(obs::JsonNumber(v), "0");
+  }
+  std::string appended = "x=";
+  obs::AppendJsonNumber(&appended, 2.0 / 3.0);
+  EXPECT_EQ(appended, "x=0.666666667");
 }
 
 // ---------------------------------------------------------------------

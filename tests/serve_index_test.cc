@@ -1,7 +1,10 @@
 #include "serve/index.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -237,6 +240,163 @@ TEST(RuleGroupIndexTest, EmptyStoreAnswersEverythingEmpty) {
   EXPECT_TRUE(index.AntecedentContains({1}, 5).empty());
   EXPECT_TRUE(index.RowCover({1, 2}, 5).empty());
   EXPECT_TRUE(index.Filter(0, 0.0, 5).empty());
+}
+
+// ---------------------------------------------------------------------
+// Oracles: RowCover and AntecedentContains against a brute-force scan
+// of every group in TopKByConfidence order, on random stores.
+
+// The match rule and the containment rule by brute force, best first.
+std::vector<std::uint32_t> CoverOracle(const RuleGroupIndex& index,
+                                       const ItemVector& row,
+                                       std::size_t limit) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t g : index.TopKByConfidence(index.size())) {
+    if (out.size() >= limit) break;
+    if (Matches(index.group(g), row)) out.push_back(g);
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> ContainsOracle(const RuleGroupIndex& index,
+                                          const ItemVector& items,
+                                          std::size_t limit) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t g : index.TopKByConfidence(index.size())) {
+    if (out.size() >= limit) break;
+    if (Contains(index.group(g).antecedent, items)) out.push_back(g);
+  }
+  return out;
+}
+
+// A mined store, optionally without lower bounds, plus two hand-made
+// groups that tie on confidence with a mined one: one with an empty
+// antecedent and no lower bounds, one whose lower bounds include the
+// empty set. Both match every sample.
+RuleGroupSnapshot OracleSnapshot(const BinaryDataset& ds,
+                                 bool lower_bounds) {
+  MinerOptions opts;
+  opts.min_support = 2;
+  opts.mine_lower_bounds = lower_bounds;
+  FarmerResult mined = MineFarmer(ds, opts);
+  RuleGroupSnapshot snapshot;
+  snapshot.groups = std::move(mined.groups);
+  snapshot.num_rows = ds.num_rows();
+  snapshot.params = SnapshotParams::FromMinerOptions(opts);
+  snapshot.fingerprint = SnapshotFingerprint::FromDataset(ds);
+  if (!snapshot.groups.empty()) {
+    RuleGroup empty_antecedent = snapshot.groups.front();
+    empty_antecedent.antecedent.clear();
+    empty_antecedent.lower_bounds.clear();
+    snapshot.groups.push_back(empty_antecedent);
+    RuleGroup empty_bound = snapshot.groups.front();
+    empty_bound.lower_bounds = {ItemVector{0, 1}, ItemVector{}};
+    snapshot.groups.push_back(empty_bound);
+  }
+  return snapshot;
+}
+
+// Samples: every row, every row with items swapped for random ones,
+// random probes of 0-2 items, and items past the universe.
+std::vector<ItemVector> OracleSamples(const BinaryDataset& ds, Rng& rng) {
+  const auto num_items = static_cast<ItemId>(ds.num_items());
+  std::vector<ItemVector> samples = {{}, {num_items}, {0, num_items + 5}};
+  for (RowId r = 0; r < ds.num_rows(); ++r) {
+    samples.push_back(ds.row(r));
+    ItemVector swapped = ds.row(r);
+    for (int k = 0; k < 2 && !swapped.empty(); ++k) {
+      swapped[rng.NextBelow(swapped.size())] =
+          static_cast<ItemId>(rng.NextBelow(num_items));
+    }
+    std::sort(swapped.begin(), swapped.end());
+    swapped.erase(std::unique(swapped.begin(), swapped.end()),
+                  swapped.end());
+    samples.push_back(std::move(swapped));
+  }
+  for (int probe = 0; probe < 20; ++probe) {
+    ItemVector items;
+    for (std::uint64_t j = rng.NextBelow(3); j > 0; --j) {
+      items.push_back(static_cast<ItemId>(rng.NextBelow(num_items)));
+    }
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
+    samples.push_back(std::move(items));
+  }
+  return samples;
+}
+
+constexpr std::size_t kOracleLimits[] = {0, 1, 7, 100000};
+
+TEST(RuleGroupIndexTest, CoverAndContainsMatchBruteForceOracle) {
+  Rng rng(11);
+  std::size_t nonempty_covers = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const BinaryDataset ds = RandomDataset(
+        12 + seed % 7, 14 + seed % 9, 0.35 + 0.01 * static_cast<double>(seed),
+        seed);
+    for (const bool lower_bounds : {true, false}) {
+      const RuleGroupSnapshot snapshot = OracleSnapshot(ds, lower_bounds);
+      const std::vector<ItemVector> samples = OracleSamples(ds, rng);
+      for (const std::size_t banks : {std::size_t{1}, std::size_t{3}}) {
+        const RuleGroupIndex index(RuleGroupSnapshot(snapshot), banks);
+        for (std::size_t s = 0; s < samples.size(); ++s) {
+          for (const std::size_t limit : kOracleLimits) {
+            SCOPED_TRACE("seed=" + std::to_string(seed) +
+                         " lower_bounds=" + std::to_string(lower_bounds) +
+                         " banks=" + std::to_string(banks) +
+                         " sample=" + std::to_string(s) +
+                         " limit=" + std::to_string(limit));
+            const std::vector<std::uint32_t> cover =
+                index.RowCover(samples[s], limit);
+            ASSERT_EQ(cover, CoverOracle(index, samples[s], limit));
+            ASSERT_EQ(index.AntecedentContains(samples[s], limit),
+                      ContainsOracle(index, samples[s], limit));
+            nonempty_covers += cover.size() > 2 ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  // The two always-matching groups alone give two; make sure real
+  // matches were exercised too.
+  EXPECT_GT(nonempty_covers, 100u);
+}
+
+TEST(RuleGroupIndexTest, ConcurrentQueriesMatchSingleThreadAnswers) {
+  // Server shards query one index at once; RowCover's per-thread
+  // scratch must keep their answers apart.
+  const BinaryDataset ds = RandomDataset(18, 20, 0.45, 5);
+  const RuleGroupIndex index(OracleSnapshot(ds, true), 3);
+  Rng rng(3);
+  const std::vector<ItemVector> samples = OracleSamples(ds, rng);
+  std::vector<std::vector<std::uint32_t>> covers;
+  std::vector<std::vector<std::uint32_t>> contains;
+  for (const ItemVector& sample : samples) {
+    covers.push_back(index.RowCover(sample, 100000));
+    contains.push_back(index.AntecedentContains(sample, 100000));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        // Each thread walks the samples from its own offset, so
+        // different samples are in flight at once.
+        for (std::size_t k = 0; k < samples.size(); ++k) {
+          const std::size_t s = (k + static_cast<std::size_t>(t) * 7) %
+                                samples.size();
+          if (index.RowCover(samples[s], 100000) != covers[s]) ++mismatches;
+          if (index.AntecedentContains(samples[s], 100000) != contains[s]) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -8,11 +8,13 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1007,6 +1009,177 @@ TEST(ServerTest, TelemetryOffLeavesResponsesByteIdentical) {
   EXPECT_EQ(client.RoundTrip("{\"op\":\"ping\"}"),
             "{\"ok\":true,\"op\":\"ping\",\"cached\":false}");
   server.Shutdown();
+}
+
+// Response bytes pinned at a known-good revision. The bench checks its
+// sampled responses against RenderGroupsPayload itself, so only literal
+// bytes catch a drift in the renderer: number formatting, field order,
+// answer order. Over MakeSnapshot()'s store (34 groups with lower
+// bounds); each payload excludes the "cached" flag and closing brace.
+struct GoldenResponse {
+  const char* request;
+  const char* payload;
+};
+
+const GoldenResponse kGoldenResponses[] = {
+    {R"({"op":"cover","items":[1,4,5,8,10,12,13,14,15],"limit":4})",
+     R"({"ok":true,"op":"cover","count":4,"groups":[{"index":15,"support_p)"
+     R"(os":3,"support_neg":0,"confidence":1,"chi_square":3.81818182,"ante)"
+     R"(cedent":[4,8,13,14],"lower_bounds":[[4,8,14],[8,13,14]]},{"index":)"
+     R"(21,"support_pos":2,"support_neg":0,"confidence":1,"chi_square":2.3)"
+     R"(3333333,"antecedent":[4,5,10,12,15],"lower_bounds":[[4,10,12],[10,)"
+     R"(15]]},{"index":12,"support_pos":4,"support_neg":1,"confidence":0.8)"
+     R"(,"chi_square":2.8,"antecedent":[4,13,14],"lower_bounds":[[13,14]]})"
+     R"(,{"index":13,"support_pos":3,"support_neg":1,"confidence":0.75,"ch)"
+     R"(i_square":1.4,"antecedent":[8,14],"lower_bounds":[[8,14]]}])"},
+    {R"({"op":"cover","items":[1,4,5,10,13,14],"limit":100})",
+     R"({"ok":true,"op":"cover","count":11,"groups":[{"index":12,"support_)"
+     R"(pos":4,"support_neg":1,"confidence":0.8,"chi_square":2.8,"antecede)"
+     R"(nt":[4,13,14],"lower_bounds":[[13,14]]},{"index":16,"support_pos":)"
+     R"(3,"support_neg":1,"confidence":0.75,"chi_square":1.4,"antecedent":)"
+     R"([4,10],"lower_bounds":[[4,10]]},{"index":10,"support_pos":4,"suppo)"
+     R"(rt_neg":2,"confidence":0.666666667,"chi_square":1.16666667,"antece)"
+     R"(dent":[4,14],"lower_bounds":[[4,14]]},{"index":11,"support_pos":4,)"
+     R"("support_neg":2,"confidence":0.666666667,"chi_square":1.16666667,")"
+     R"(antecedent":[4,13],"lower_bounds":[[4,13]]},{"index":8,"support_po)"
+     R"(s":5,"support_neg":3,"confidence":0.625,"chi_square":1.16666667,"a)"
+     R"(ntecedent":[4],"lower_bounds":[[4]]},{"index":5,"support_pos":3,"s)"
+     R"(upport_neg":2,"confidence":0.6,"chi_square":0.311111111,"anteceden)"
+     R"(t":[5,10],"lower_bounds":[[5,10]]},{"index":2,"support_pos":4,"sup)"
+     R"(port_neg":3,"confidence":0.571428571,"chi_square":0.285714286,"ant)"
+     R"(ecedent":[10],"lower_bounds":[[10]]},{"index":9,"support_pos":4,"s)"
+     R"(upport_neg":3,"confidence":0.571428571,"chi_square":0.285714286,"a)"
+     R"(ntecedent":[14],"lower_bounds":[[14]]},{"index":0,"support_pos":5,)"
+     R"("support_neg":5,"confidence":0.5,"chi_square":0,"antecedent":[13],)"
+     R"("lower_bounds":[[13]]},{"index":7,"support_pos":4,"support_neg":4,)"
+     R"("confidence":0.5,"chi_square":0,"antecedent":[1],"lower_bounds":[[)"
+     R"(1]]},{"index":4,"support_pos":3,"support_neg":5,"confidence":0.375)"
+     R"(,"chi_square":1.16666667,"antecedent":[5],"lower_bounds":[[5]]}])"},
+    {R"({"op":"contains","items":[3],"limit":3})",
+     R"({"ok":true,"op":"contains","count":3,"groups":[{"index":28,"suppor)"
+     R"(t_pos":2,"support_neg":0,"confidence":1,"chi_square":2.33333333,"a)"
+     R"(ntecedent":[2,3,4,11],"lower_bounds":[[2,3],[2,4]]},{"index":29,"s)"
+     R"(upport_pos":2,"support_neg":0,"confidence":1,"chi_square":2.333333)"
+     R"(33,"antecedent":[1,3,4,13,14],"lower_bounds":[[1,3],[3,13]]},{"ind)"
+     R"(ex":25,"support_pos":3,"support_neg":1,"confidence":0.75,"chi_squa)"
+     R"(re":1.4,"antecedent":[3,4],"lower_bounds":[[3]]}])"},
+    {R"({"op":"topk","metric":"confidence","k":3})",
+     R"({"ok":true,"op":"topk_confidence","count":3,"groups":[{"index":15,)"
+     R"("support_pos":3,"support_neg":0,"confidence":1,"chi_square":3.8181)"
+     R"(8182,"antecedent":[4,8,13,14],"lower_bounds":[[4,8,14],[8,13,14]]})"
+     R"(,{"index":21,"support_pos":2,"support_neg":0,"confidence":1,"chi_s)"
+     R"(quare":2.33333333,"antecedent":[4,5,10,12,15],"lower_bounds":[[4,1)"
+     R"(0,12],[10,15]]},{"index":28,"support_pos":2,"support_neg":0,"confi)"
+     R"(dence":1,"chi_square":2.33333333,"antecedent":[2,3,4,11],"lower_bo)"
+     R"(unds":[[2,3],[2,4]]}])"},
+    {R"({"op":"topk","metric":"chi_square","k":2})",
+     R"({"ok":true,"op":"topk_chi_square","count":2,"groups":[{"index":15,)"
+     R"("support_pos":3,"support_neg":0,"confidence":1,"chi_square":3.8181)"
+     R"(8182,"antecedent":[4,8,13,14],"lower_bounds":[[4,8,14],[8,13,14]]})"
+     R"(,{"index":12,"support_pos":4,"support_neg":1,"confidence":0.8,"chi)"
+     R"(_square":2.8,"antecedent":[4,13,14],"lower_bounds":[[13,14]]}])"},
+    {R"({"op":"filter","minsup":3,"minconf":0.55,"limit":3})",
+     R"({"ok":true,"op":"filter","count":3,"groups":[{"index":15,"support_)"
+     R"(pos":3,"support_neg":0,"confidence":1,"chi_square":3.81818182,"ant)"
+     R"(ecedent":[4,8,13,14],"lower_bounds":[[4,8,14],[8,13,14]]},{"index")"
+     R"(:12,"support_pos":4,"support_neg":1,"confidence":0.8,"chi_square":)"
+     R"(2.8,"antecedent":[4,13,14],"lower_bounds":[[13,14]]},{"index":13,")"
+     R"(support_pos":3,"support_neg":1,"confidence":0.75,"chi_square":1.4,)"
+     R"("antecedent":[8,14],"lower_bounds":[[8,14]]}])"},
+};
+
+// The same request with an echo id: the JSON text minus its closing
+// brace, plus the id field.
+std::string WithEchoId(const std::string& request, const std::string& id) {
+  return request.substr(0, request.size() - 1) + ",\"id\":\"" + id + "\"}";
+}
+
+TEST(ServerTest, GoldenResponsesInBothFramingsCachedAndUncached) {
+  // Pass 0 asks each query over JSON first (uncached) and over FQP1
+  // second (cached); pass 1 the other way round, with an echo id on the
+  // cached JSON answer.
+  for (const bool binary_first : {false, true}) {
+    SCOPED_TRACE(binary_first ? "FQP1 first" : "JSON first");
+    Server::Options options;
+    options.num_shards = 2;
+    Server server(MakeIndex(), options);
+    ASSERT_TRUE(server.Start().ok());
+    TestClient json_client(server.port());
+    TestClient bin_client(server.port());
+    ASSERT_TRUE(json_client.connected());
+    ASSERT_TRUE(bin_client.connected());
+    ASSERT_TRUE(bin_client.SendRaw(Preamble()));
+    std::uint64_t next_id = 1;
+    const auto ask_binary = [&](const GoldenResponse& golden) {
+      QueryRequest req;
+      EXPECT_TRUE(ParseRequest(golden.request, &req).ok());
+      req.bin_id = next_id++;
+      EXPECT_TRUE(bin_client.SendRaw(EncodeBinaryRequest(req)));
+      std::uint64_t req_id = 0;
+      FrameStatus status = FrameStatus::kInternal;
+      std::string json;
+      EXPECT_TRUE(bin_client.RecvFrame(&req_id, &status, &json));
+      EXPECT_EQ(req_id, req.bin_id);
+      EXPECT_EQ(status, FrameStatus::kOk);
+      return json;
+    };
+    for (const GoldenResponse& golden : kGoldenResponses) {
+      SCOPED_TRACE(golden.request);
+      const std::string payload = golden.payload;
+      if (binary_first) {
+        EXPECT_EQ(ask_binary(golden), payload + ",\"cached\":false}");
+        EXPECT_EQ(json_client.RoundTrip(WithEchoId(golden.request, "g7")),
+                  payload + ",\"cached\":true,\"id\":\"g7\"}");
+      } else {
+        EXPECT_EQ(json_client.RoundTrip(golden.request),
+                  payload + ",\"cached\":false}");
+        EXPECT_EQ(ask_binary(golden), payload + ",\"cached\":true}");
+      }
+    }
+    EXPECT_EQ(server.cache().hits(), std::size(kGoldenResponses));
+    server.Shutdown();
+  }
+}
+
+TEST(ProtocolTest, CanonicalKeysArePinned) {
+  const std::pair<const char*, const char*> kKeys[] = {
+      {R"({"op":"filter","minsup":0,"minconf":0.3333333333333333})",
+       R"(filter minsup=0 minconf=0.333333333 limit=100)"},
+      {R"({"op":"filter","minsup":7,"minconf":1e-7,"limit":0})",
+       R"(filter minsup=7 minconf=1e-07 limit=0)"},
+      {R"({"op":"filter","minsup":7,"minconf":-0.0,"limit":10000})",
+       R"(filter minsup=7 minconf=-0 limit=10000)"},
+      {R"({"op":"filter","minsup":7,"minconf":123456789012})",
+       R"(filter minsup=7 minconf=1.23456789e+11 limit=100)"},
+      {R"({"op":"cover","items":[]})",
+       R"(cover items= limit=100)"},
+      {R"({"op":"contains","items":[40000000,7,7,0]})",
+       R"(contains items=0,7,40000000 limit=100)"},
+      {R"({"op":"topk","metric":"chi_square","k":0,"limit":5,"id":"x","deadl)"
+       R"(ine_ms":3})",
+       R"(topk_chi_square k=0 limit=5)"},
+      {R"({"op":"ping"})",
+       R"(ping limit=100)"},
+      {R"({"op":"stats","limit":9})",
+       R"(stats limit=9)"},
+      {R"({"op":"cover","items":[1,4,5,8,10,12,13,14,15],"limit":4})",
+       R"(cover items=1,4,5,8,10,12,13,14,15 limit=4)"},
+      {R"({"op":"cover","items":[1,4,5,10,13,14],"limit":100})",
+       R"(cover items=1,4,5,10,13,14 limit=100)"},
+      {R"({"op":"contains","items":[3],"limit":3})",
+       R"(contains items=3 limit=3)"},
+      {R"({"op":"topk","metric":"confidence","k":3})",
+       R"(topk_confidence k=3 limit=100)"},
+      {R"({"op":"topk","metric":"chi_square","k":2})",
+       R"(topk_chi_square k=2 limit=100)"},
+      {R"({"op":"filter","minsup":3,"minconf":0.55,"limit":3})",
+       R"(filter minsup=3 minconf=0.55 limit=3)"},
+  };
+  for (const auto& [request, key] : kKeys) {
+    QueryRequest req;
+    ASSERT_TRUE(ParseRequest(request, &req).ok()) << request;
+    EXPECT_EQ(CanonicalKey(req), key) << request;
+  }
 }
 
 }  // namespace
